@@ -1,25 +1,43 @@
 """Spectral phase-space solver on the periodic square with Strang splitting.
 
-The state is F(x, theta) on [0, 2pi)^2 x S^1, stored as an (nx, nx, ntheta)
-array of nodal values.  One step of size dt is
+The density F(x, theta) on [0, 2pi)^2 x S^1 is sampled on an
+(nx, nx, ntheta) tensor grid, but between samples the solver keeps its
+spatial half-spectrum: the rfft2 of the nodal values over the two x axes, an
+(nx, nx//2 + 1, ntheta) complex array.  One step of size dt is
 
-    collision(dt/2) -> free transport(dt) -> collision(dt/2),
+    collision(dt/2) -> free transport(dt) -> collision(dt/2).
 
-where the transport step multiplies each spatial Fourier mode m by
-exp(-i gamma (m . omega) dt) exactly, and the collision substep applies the
-exact relaxation
+Free transport multiplies each spatial Fourier mode m by
+P(m) = exp(-i gamma (m . omega) dt) exactly.  On the half-spectrum the table
+is symmetrized, P_half(m) = (P(m) + conj P(-m mod nx)) / 2, which equals P(m)
+except on the Nyquist row, column and corner; there it keeps the part of the
+multiplier that maps real fields to real fields, so the half-spectrum stays
+the transform of a real field without any projection.
+
+The collision substep applies the exact relaxation
 
     F <- e^{-h} F + (1 - e^{-h}) rho_F M_{J*},
 
 with the von Mises parameter J* advanced to the substep midpoint by an Euler
 predictor of the flux ODE dJ/dt = rho c(|J|) J/|J| - J (so the full splitting
-is second order in dt).  Three right-hand sides are supported:
+is second order in dt).  The angular moments (rho, J) commute with the spatial
+transform, so they are taken on the spectrum and only those three 2-D fields
+are transformed back; the von Mises target is built in physical space and
+transformed forward once, with the 2/3-rule mask (Orszag 1971) multiplied in
+when dealiasing is on.  A nonlinear step therefore costs two 3-D real FFTs.
+Three right-hand sides are supported:
 
 * "nonlinear":    the alignment dynamics themselves;
 * "linearized":   the dynamics linearized at an equilibrium (mu, J_eq); the
-                  stored field is the perturbation f with Int Int f = 0;
+                  stored field is the perturbation f with Int Int f = 0.  The
+                  target is linear in the moments and pointwise in x, so the
+                  collision acts on the spectrum directly and a step needs no
+                  FFT at all;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
+
+Nodal values are formed with one irfft2 only at diagnostics and snapshot
+times; `init_field`, the diagnostics and the snapshots all see nodal fields.
 
 Normalization: fields are normalized so the *mean* density
 (2pi)^{-2} Int Int F dx domega equals mu; the equilibrium field is then
@@ -172,48 +190,92 @@ def _validate(config: SolverConfig) -> None:
         raise ValueError("linearized mode-bump needs a nonzero spatial mode")
 
 
+def _equilibrium_flux(mu: float, angle: float) -> np.ndarray:
+    if mu <= 2.0:
+        return np.zeros(2)
+    return solve_L(mu, 2) * np.array([math.cos(angle), math.sin(angle)])
+
+
 def equilibrium_flux(config: SolverConfig) -> np.ndarray:
     """The background flux J_eq: zero for mu <= 2, on-branch otherwise."""
-    if config.mu <= 2.0:
-        return np.zeros(2)
-    L = solve_L(config.mu, 2)
-    return L * np.array([math.cos(config.jeq_angle), math.sin(config.jeq_angle)])
+    return _equilibrium_flux(config.mu, config.jeq_angle)
+
+
+def _moment_weights(grid: SphereGrid) -> np.ndarray:
+    """Quadrature weights of (rho, J_x, J_y) as the rows of a (3, n) array."""
+    return grid.weights * np.vstack([np.ones(grid.n), grid.nodes.T])
+
+
+def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Angular moments (rho, J_x, J_y) over the last (theta) axis, stacked
+    on a new first axis.  They are linear and act cell by cell, so the same
+    call serves nodal values and their spatial spectrum."""
+    flat = values.reshape(-1, values.shape[-1])
+    return (weights @ flat.T).reshape((3,) + values.shape[:-1])
+
+
+def _half_phase(nx: int, gamma: float, dt: float, grid: SphereGrid) -> np.ndarray:
+    """Transport multiplier exp(-i gamma dt m . omega) on the rfft2
+    half-spectrum, symmetrized as (P(m) + conj P(-m mod nx)) / 2 so that it
+    maps the spectra of real fields to spectra of real fields."""
+    m = np.fft.fftfreq(nx, d=1.0 / nx)
+    neg = np.where(np.abs(m) == nx // 2, m, -m)   # frequency of -m mod nx
+    half = slice(0, nx // 2 + 1)
+
+    def table(m1, m2):
+        return np.exp(-1j * gamma * dt * (
+            np.multiply.outer(m1, grid.nodes[:, 0])[:, None, :]
+            + np.multiply.outer(m2, grid.nodes[:, 1])[None, :, :]))
+
+    return 0.5 * (table(m, m[half]) + np.conj(table(neg, neg[half])))
 
 
 class _Workspace:
-    """Precomputed grid data shared by all steps of one configuration."""
+    """Precomputed grid and operator data shared by all steps of one
+    (grid, operator, dt) combination."""
 
-    def __init__(self, config: SolverConfig, dt: float):
-        nx, ntheta = config.nx, config.ntheta
+    def __init__(self, nx: int, ntheta: int, gamma: float, dt: float,
+                 mu: float, mode: str, eps_reg: float | None,
+                 jeq_angle: float, dealias: bool):
         self.grid = build_sphere_grid(2, ntheta)
-        theta = self.grid.angles
-        self.cos = np.cos(theta)
-        self.sin = np.sin(theta)
+        # rows (cos, sin, -1): [J*_x, J*_y, |J*|] @ basis is the exponent
+        # J* . omega - |J*| of the von Mises target
+        self.exponent_basis = np.vstack([self.grid.nodes.T, -np.ones(ntheta)])
         self.wtheta = 2.0 * math.pi / ntheta
-        self.wcos = self.cos * self.wtheta
-        self.wsin = self.sin * self.wtheta
-        m = np.fft.fftfreq(nx, d=1.0 / nx)
-        karg = np.multiply.outer(m, self.cos)[:, None, :] \
-            + np.multiply.outer(m, self.sin)[None, :, :]
-        self.phase = np.exp(-1j * config.gamma * dt * karg)
-        cut = nx // 3
-        self.dealias_mask = (np.abs(m)[:, None] > cut) | (np.abs(m)[None, :] > cut)
-        self.mu = config.mu
-        self.mode = config.mode
-        self.dealias = config.dealias and config.mode != "linearized"
-        self.jcap = 1.0 / config.eps_reg if config.mode == "regularized" else None
-        self.Jeq = equilibrium_flux(config)
+        self.weights = _moment_weights(self.grid)
+        self.shape = (nx, nx)
+        self.phase = _half_phase(nx, gamma, dt, self.grid)
+        self.keep = None
+        if dealias and mode != "linearized":
+            m = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
+            cut = nx // 3
+            self.keep = ((m[:, None] <= cut)
+                         & (m[None, : nx // 2 + 1] <= cut))[..., None]
+        self.mu = mu
+        self.jcap = 1.0 / eps_reg if mode == "regularized" else None
+        self.Jeq = _equilibrium_flux(mu, jeq_angle)
         self.Meq = von_mises(self.Jeq, self.grid)
-        if config.mode == "linearized":
+        if mode == "linearized":
             G = von_mises_gradient(self.Jeq, self.grid)
             self.G1, self.G2 = G[0], G[1]
-            self.C = flux_relaxation_matrix(config.mu, self.Jeq, self.grid)
-            self.jeq_over_mu = self.Jeq / config.mu
+            self.C = flux_relaxation_matrix(mu, self.Jeq, self.grid)
+            self.jeq_over_mu = self.Jeq / mu
 
 
 @lru_cache(maxsize=8)
-def _workspace(config: SolverConfig, dt: float) -> _Workspace:
-    return _Workspace(config, dt)
+def _workspace(nx: int, ntheta: int, gamma: float, dt: float, mu: float,
+               mode: str, eps_reg: float | None, jeq_angle: float,
+               dealias: bool) -> _Workspace:
+    return _Workspace(nx, ntheta, gamma, dt, mu, mode, eps_reg, jeq_angle,
+                      dealias)
+
+
+def _workspace_of(config: SolverConfig, dt: float) -> _Workspace:
+    """The cached workspace of config's grid and operator at step size dt;
+    run controls (t_end, init, seed, sampling) do not enter the key."""
+    return _workspace(config.nx, config.ntheta, config.gamma, dt, config.mu,
+                      config.mode, config.eps_reg, config.jeq_angle,
+                      config.dealias)
 
 
 def regularized_flux(J: np.ndarray, eps: float) -> np.ndarray:
@@ -236,12 +298,10 @@ def _c_over_r(r: np.ndarray) -> np.ndarray:
                     special.i1e(rs) / (rs * special.i0e(rs)))
 
 
-def _collide(values: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
-    """Exact relaxation over a substep of span h (nonlinear/regularized)."""
-    wq = ws.wtheta
-    rho = values.sum(axis=2) * wq
-    Jx = values @ ws.wcos
-    Jy = values @ ws.wsin
+def _collide(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
+    """Exact relaxation over a substep of span h (nonlinear/regularized),
+    on the half-spectrum S."""
+    rho, Jx, Jy = np.fft.irfft2(_moments(S, ws.weights), s=ws.shape, axes=(1, 2))
     r = np.hypot(Jx, Jy)
     sfac = rho * _c_over_r(r) - 1.0
     Jsx = Jx + 0.5 * h * sfac * Jx
@@ -252,24 +312,19 @@ def _collide(values: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
         Jsx = Jsx * shrink
         Jsy = Jsy * shrink
     rs = np.hypot(Jsx, Jsy)
-    expo = Jsx[..., None] * ws.cos + Jsy[..., None] * ws.sin - rs[..., None]
-    E = np.exp(expo)
-    Z = E.sum(axis=2) * wq
-    target = (rho / Z)[..., None] * E
-    if ws.dealias:
-        spec = np.fft.fft2(target, axes=(0, 1))
-        spec[ws.dealias_mask] = 0.0
-        target = np.fft.ifft2(spec, axes=(0, 1)).real
+    E = np.exp(np.stack([Jsx, Jsy, rs], axis=-1) @ ws.exponent_basis)
+    E *= (rho / (E.sum(axis=2) * ws.wtheta))[..., None]
+    target = np.fft.rfft2(E, axes=(0, 1))
     decay = math.exp(-h)
-    return decay * values + (1.0 - decay) * target
+    target *= (1.0 - decay) if ws.keep is None else (1.0 - decay) * ws.keep
+    target += decay * S
+    return target
 
 
-def _collide_linear(values: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
-    """Exact relaxation of the linearized collision over span h."""
-    wq = ws.wtheta
-    rho = values.sum(axis=2) * wq
-    Jx = values @ ws.wcos
-    Jy = values @ ws.wsin
+def _collide_linear(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
+    """Exact relaxation of the linearized collision over span h.  It is
+    linear and acts cell by cell, so it applies to the spectrum as is."""
+    rho, Jx, Jy = _moments(S, ws.weights)
     C = ws.C
     rx = rho * ws.jeq_over_mu[0] + C[0, 0] * Jx + C[0, 1] * Jy
     ry = rho * ws.jeq_over_mu[1] + C[1, 0] * Jx + C[1, 1] * Jy
@@ -278,19 +333,18 @@ def _collide_linear(values: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
     target = rho[..., None] * ws.Meq \
         + ws.mu * (Jsx[..., None] * ws.G1 + Jsy[..., None] * ws.G2)
     decay = math.exp(-h)
-    return decay * values + (1.0 - decay) * target
+    return decay * S + (1.0 - decay) * target
 
 
-def step(F: PhaseField, dt: float, config: SolverConfig) -> PhaseField:
-    """One Strang step: collision(dt/2), transport(dt), collision(dt/2)."""
-    ws = _workspace(config, dt)
+def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
+    """One Strang step, collision(dt/2), transport(dt), collision(dt/2), of
+    the half-spectrum state S = rfft2(F.values, axes=(0, 1)); returns the new
+    half-spectrum and leaves S untouched."""
+    ws = _workspace_of(config, dt)
     collide = _collide_linear if config.mode == "linearized" else _collide
-    v = collide(F.values, 0.5 * dt, ws)
-    spec = np.fft.fft2(v, axes=(0, 1))
-    spec *= ws.phase
-    v = np.fft.ifft2(spec, axes=(0, 1)).real
-    v = collide(v, 0.5 * dt, ws)
-    return PhaseField(v, F.gamma, F.grid)
+    S = collide(S, 0.5 * dt, ws)
+    S *= ws.phase
+    return collide(S, 0.5 * dt, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +372,7 @@ def init_field(config: SolverConfig) -> PhaseField:
     """Build the initial field of a run; every recipe is rescaled so the
     mean density is exactly mu (mean zero, for linearized perturbations)."""
     _validate(config)
-    ws = _workspace(config, config.dt)
+    ws = _workspace_of(config, config.dt)
     nx, ntheta = config.nx, config.ntheta
     spec = config.init
     x = 2.0 * math.pi * np.arange(nx) / nx
@@ -341,7 +395,7 @@ def init_field(config: SolverConfig) -> PhaseField:
     else:  # large-blob
         kappa = 1.0 / spec.width**2
         bx = np.exp(kappa * (np.cos(x - math.pi) - 1.0))
-        ang = (1.0 + 0.5 * ws.cos) / (2.0 * math.pi)
+        ang = (1.0 + 0.5 * ws.grid.nodes[:, 0]) / (2.0 * math.pi)
         values = bx[:, None, None] * bx[None, :, None] * ang[None, None, :]
 
     mean = values.sum() * ws.wtheta / (nx * nx)
@@ -392,16 +446,8 @@ class DiagnosticsSeries:
 
 def field_moments(F: PhaseField) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise density rho(x) and flux J(x): angular moments of F."""
-    wq = 2.0 * math.pi / F.ntheta
-    rho = F.values.sum(axis=2) * wq
-    J = np.stack([F.values @ (np.cos(F.grid.angles) * wq),
-                  F.values @ (np.sin(F.grid.angles) * wq)], axis=-1)
-    return rho, J
-
-
-def _mean_flux(F: PhaseField) -> np.ndarray:
-    rho, J = field_moments(F)
-    return J.mean(axis=(0, 1))
+    rho, Jx, Jy = _moments(F.values, _moment_weights(F.grid))
+    return rho, np.stack([Jx, Jy], axis=-1)
 
 
 def entropy_functional(F: PhaseField) -> float:
@@ -417,53 +463,56 @@ def dist_to_manifold(F: PhaseField, mu: float) -> float:
     """L^2(dx dtheta) distance from F to the equilibrium family {mu M_J}.
 
     For mu <= 2 the family is the single uniform state.  Above threshold the
-    direction of the closest von Mises state is located by a coarse circular
-    scan refined with golden-section search (absolute tolerance 1e-10); the
+    squared distance to mu M_phi (direction phi, |J| = L(mu)) splits as
+
+        ||F - Fbar||^2 + (2pi)^2 ||Fbar - mu M_phi||^2_theta,
+
+    with Fbar(theta) the spatial mean of F.  Both terms are sums of squared
+    differences, so a distance far below ||F|| keeps its digits.  The
+    direction minimizing the theta-only term is located by a coarse circular
+    scan refined with golden-section search (absolute tolerance 1e-12); the
     search is seeded by, and in practice agrees with, the direction of the
     mean flux of F.
     """
     grid = F.grid
     wq = 2.0 * math.pi / F.ntheta
     dx2 = (2.0 * math.pi / F.nx) ** 2
-    norm2 = float(np.sum(F.values**2)) * dx2 * wq
     if mu <= 2.0:
         m0 = np.full(F.ntheta, 1.0 / (2.0 * math.pi))
         diff2 = float(np.sum((F.values - mu * m0) ** 2)) * dx2 * wq
         return math.sqrt(max(diff2, 0.0))
     L = solve_L(mu, 2)
-    S = F.values.sum(axis=(0, 1)) * dx2          # S(theta) = Int F dx
+    Fbar = F.values.mean(axis=(0, 1))
+    spread2 = float(np.sum((F.values - Fbar) ** 2)) * dx2 * wq
     theta = grid.angles
     area2 = (2.0 * math.pi) ** 2
 
-    def offset(phi: float) -> float:
+    def gap(phi: float) -> float:
         m = np.exp(L * (np.cos(theta - phi) - 1.0))
         m /= m.sum() * wq
-        q = float((S * m).sum() * wq)
-        m2 = float((m * m).sum() * wq)
-        return -2.0 * mu * q + mu * mu * area2 * m2
+        return float(np.sum((Fbar - mu * m) ** 2)) * wq
 
-    jbar = _mean_flux(F)
+    jbar = _moments(Fbar, _moment_weights(grid))[1:]
     seed = math.atan2(jbar[1], jbar[0]) if np.linalg.norm(jbar) > 0 else 0.0
     scan = seed + np.linspace(-math.pi, math.pi, 33)[:-1]
-    vals = [offset(p) for p in scan]
+    vals = [gap(p) for p in scan]
     best = int(np.argmin(vals))
     lo = scan[best] - 2.0 * math.pi / 32
     hi = scan[best] + 2.0 * math.pi / 32
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    fc, fd = offset(c), offset(d)
-    while hi - lo > 1e-10:
+    fc, fd = gap(c), gap(d)
+    while hi - lo > 1e-12:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = offset(c)
+            fc = gap(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = offset(d)
-    val = norm2 + min(fc, fd)
-    return math.sqrt(max(val, 0.0))
+            fd = gap(d)
+    return math.sqrt(spread2 + area2 * min(fc, fd))
 
 
 def diagnostics(F: PhaseField, mu: float) -> dict:
@@ -517,28 +566,33 @@ def run(config: SolverConfig) -> RunResult:
 
     Diagnostics are sampled at t = 0, every snapshot_every steps, and at the
     final step.  Snapshots of the field are retained at the same cadence when
-    keep_snapshots is set, otherwise only first and last.  Raises SolverAbort
-    (with the failure time) as soon as the state stops being finite.
+    keep_snapshots is set, otherwise only first and last.  Steps act on the
+    half-spectrum state; nodal values are formed only at those sample times.
+    Raises SolverAbort (with the failure time) as soon as the state stops
+    being finite.
     """
     _validate(config)
     nsteps = int(round(config.t_end / config.dt))
     if abs(nsteps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         raise ValueError("t_end must be an integer multiple of dt")
-    ws = _workspace(config, config.dt)
+    ws = _workspace_of(config, config.dt)
     F = init_field(config)
     rows = [_diagnostics_row(F, 0.0, config, ws)]
-    snaps = [(0.0, F.values.copy())]
+    snaps = [(0.0, F.values)]
+    S = np.fft.rfft2(F.values, axes=(0, 1))
     for i in range(1, nsteps + 1):
-        F = step(F, config.dt, config)
+        S = step(S, config.dt, config)
         t = i * config.dt
-        if not np.isfinite(F.values).all():
+        if not np.isfinite(S).all():
             raise SolverAbort(t)
         if i % config.snapshot_every == 0 or i == nsteps:
+            F = PhaseField(np.fft.irfft2(S, s=ws.shape, axes=(0, 1)),
+                           F.gamma, F.grid)
             rows.append(_diagnostics_row(F, t, config, ws))
             if config.keep_snapshots:
-                snaps.append((t, F.values.copy()))
+                snaps.append((t, F.values))
     if not config.keep_snapshots and nsteps > 0:
-        snaps.append((nsteps * config.dt, F.values.copy()))
+        snaps.append((nsteps * config.dt, F.values))
     return RunResult(config=config, series=DiagnosticsSeries.from_rows(rows),
                      snapshots=snaps)
 

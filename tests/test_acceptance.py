@@ -270,8 +270,10 @@ def test_criterion_09_homogeneous_dynamics(capsys):
         cfg = SolverConfig(mu=mu, nx=4, ntheta=64, dt=dt)
         F = PhaseField(np.ascontiguousarray(
             np.broadcast_to(mu * vm, (4, 4, 64))), cfg.gamma, grid)
+        S = np.fft.rfft2(F.values, axes=(0, 1))
         for _ in range(int(round(1.0 / dt))):
-            F = step(F, dt, cfg)
+            S = step(S, dt, cfg)
+        F = PhaseField(np.fft.irfft2(S, s=(4, 4), axes=(0, 1)), cfg.gamma, grid)
         _, J = field_moments(F)
         errs.append(abs(float(np.linalg.norm(J.mean(axis=(0, 1)))) - ref.L[-1]))
     order = errs[0] / errs[1]

@@ -85,6 +85,34 @@ def test_config_error_exits_2_before_computing(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_non_number_exits_2(tmp_path, capsys):
+    rc = cli.main(["simulate", "--set", "gamma=abc", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "gamma" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_infinite_dt_exits_2(tmp_path, capsys):
+    rc = cli.main(["simulate", "--set", "dt=Infinity", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_non_finite_json_rejected(tmp_path):
+    for text in ("NaN", "Infinity", "-Infinity", "1e999"):
+        with pytest.raises(cli.ConfigError, match="non-finite"):
+            cli.resolve_config("bifurcation", None, [f"mu_max={text}"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"experiment": "bifurcation", "mu_max": %s}' % text)
+        with pytest.raises(cli.ConfigError, match="non-finite"):
+            cli.resolve_config("bifurcation", str(cfg), [])
+
+
 # ---------------------------------------------------------------------------
 # experiment runs (miniature settings)
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import vicsekbgk.solver as solver
 from vicsekbgk.equilibria import homogeneous_flow, solve_L
 from vicsekbgk.linstab import flux_relaxation_matrix
 from vicsekbgk.solver import (
@@ -30,7 +31,7 @@ from vicsekbgk.solver import (
     write_diagnostics_csv,
     write_snapshot,
 )
-from vicsekbgk.sphere import build_sphere_grid
+from vicsekbgk.sphere import build_sphere_grid, von_mises
 
 
 def _series(t, **cols):
@@ -140,7 +141,9 @@ def test_equilibrium_is_fixed_point():
     for mu, angle in [(1.5, 0.0), (2.7, 1.1)]:
         cfg = SolverConfig(mu=mu, jeq_angle=angle, nx=8, ntheta=32, dt=0.05)
         F0 = init_field(cfg)
-        F1 = step(F0, cfg.dt, cfg)
+        S1 = step(np.fft.rfft2(F0.values, axes=(0, 1)), cfg.dt, cfg)
+        F1 = PhaseField(np.fft.irfft2(S1, s=(cfg.nx, cfg.nx), axes=(0, 1)),
+                        F0.gamma, F0.grid)
         assert np.max(np.abs(F1.values - F0.values)) < 1e-13
 
 
@@ -169,8 +172,10 @@ def test_homogeneous_flux_matches_moment_ode():
         cfg = SolverConfig(mu=mu, nx=4, ntheta=64, dt=dt)
         F = PhaseField(np.ascontiguousarray(
             np.broadcast_to(mu * vm, (4, 4, 64))), cfg.gamma, grid)
+        S = np.fft.rfft2(F.values, axes=(0, 1))
         for _ in range(int(round(1.0 / dt))):
-            F = step(F, dt, cfg)
+            S = step(S, dt, cfg)
+        F = PhaseField(np.fft.irfft2(S, s=(4, 4), axes=(0, 1)), cfg.gamma, grid)
         _, J = field_moments(F)
         errs.append(abs(float(np.linalg.norm(J.mean(axis=(0, 1)))) - ref.L[-1]))
     assert errs[1] < errs[0]
@@ -263,6 +268,23 @@ def test_dist_to_manifold_zero_cases():
     assert dist_to_manifold(F, mu) < 1e-5
 
 
+def test_dist_to_manifold_small_distance_keeps_digits():
+    # F = mu M_J + eta g(x) h(theta) with g of zero spatial mean: the closest
+    # equilibrium is mu M_J and the distance is eta ||g h||, far below ||F||
+    mu, phi, eta = 2.5, 0.9, 1e-7
+    nx, ntheta = 16, 32
+    grid = build_sphere_grid(2, ntheta)
+    M = von_mises(solve_L(mu, 2) * np.array([math.cos(phi), math.sin(phi)]),
+                  grid)
+    x = 2.0 * math.pi * np.arange(nx) / nx
+    g = np.cos(x[:, None] + 2.0 * x[None, :])
+    gh = g[..., None] * (np.cos(2.0 * grid.angles) + 0.5 * np.sin(grid.angles))
+    F = PhaseField(mu * M + eta * gh, 10.0, grid)
+    dvol = (2.0 * math.pi / nx) ** 2 * (2.0 * math.pi / ntheta)
+    want = eta * math.sqrt(float(np.sum(gh**2)) * dvol)
+    assert abs(dist_to_manifold(F, mu) / want - 1.0) <= 1e-8
+
+
 def test_dist_to_manifold_detects_perturbation():
     mu = 2.5
     cfg = SolverConfig(mu=mu, nx=8, ntheta=32, init=InitSpec(amplitude=0.2))
@@ -284,6 +306,18 @@ def test_run_sampling_and_snapshots():
                             snapshot_every=5, keep_snapshots=True,
                             init=InitSpec(amplitude=0.1)))
     assert [t for t, _ in kept.snapshots] == [0.0, 0.05, 0.1]
+
+
+def test_workspace_ignores_run_controls():
+    # t_end, seed and init do not change the grid or the operator
+    a = SolverConfig(mu=2.2, nx=8, ntheta=16, t_end=1.0, seed=1,
+                     init=InitSpec(amplitude=0.1))
+    b = SolverConfig(mu=2.2, nx=8, ntheta=16, t_end=2.0, seed=2,
+                     init=InitSpec(recipe="random-smooth", amplitude=0.2))
+    solver._workspace.cache_clear()
+    init_field(a)
+    init_field(b)
+    assert solver._workspace.cache_info().misses == 1
 
 
 def test_run_rejects_misaligned_t_end():
