@@ -13,7 +13,11 @@ Single entry point with one subcommand per experiment:
 Configuration precedence: built-in defaults < --config JSON file < --set
 KEY=VAL overrides (dotted keys reach nested blocks, values parsed as JSON
 with a plain-string fallback).  Unknown keys are rejected and every
-parameter is validated before any computation starts.  Each run writes its
+parameter is validated before any computation starts.  The solver
+experiments build their SolverConfig once and validate it with
+solver.validate, the one place the rules on its fields are stated; this
+module checks only the keys that never reach the solver (fit windows, sweep
+controls).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically, so its presence marks a completed run.
@@ -55,9 +59,11 @@ from .solver import (
     InitSpec,
     SolverAbort,
     SolverConfig,
+    _write_csv,
     fit_decay_rate,
     fit_entropy_growth,
     run,
+    validate,
     write_diagnostics_csv,
     write_snapshot,
 )
@@ -217,17 +223,6 @@ def _check_types(defaults: dict, c: dict, prefix: str = "") -> None:
                   name, "must be a number")
 
 
-def _check_solver_common(c: dict) -> None:
-    _need(c["mu"] > 0, "mu", "must be > 0")
-    _need(c["gamma"] > 0, "gamma", "must be > 0")
-    _need(c["nx"] >= 4 and c["nx"] % 2 == 0, "nx", "must be an even integer >= 4")
-    _need(c["ntheta"] >= 8 and c["ntheta"] % 2 == 0,
-          "ntheta", "must be an even integer >= 8")
-    _need(c["dt"] > 0, "dt", "must be > 0")
-    _need(c["t_end"] > 0, "t_end", "must be > 0")
-    _need(c["snapshot_every"] >= 1, "snapshot_every", "must be a positive integer")
-
-
 def validate_config(experiment: str, c: dict) -> None:
     if experiment == "bifurcation":
         _need(c["d"] in (2, 3), "d", "must be 2 or 3")
@@ -260,37 +255,21 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["re_max"] >= 0, "re_max", "must be >= 0")
         _need(c["im_max"] > 0, "im_max", "must be > 0")
         _need(c["kmag_max"] >= c["gamma"], "kmag_max", "must be >= gamma")
-    elif experiment == "simulate":
-        _check_solver_common(c)
-        _need(c["mode"] in ("nonlinear", "linearized", "regularized"),
-              "mode", "must be nonlinear, linearized or regularized")
-        if c["mode"] == "regularized":
-            _need(c["eps_reg"] is not None and c["eps_reg"] > 0,
-                  "eps_reg", "must be > 0 in regularized mode")
-        init = c["init"]
-        _need(init["recipe"] in ("mode-bump", "random-smooth", "large-blob"),
-              "init.recipe", "must be mode-bump, random-smooth or large-blob")
-        _need(init["amplitude"] >= 0, "init.amplitude", "must be >= 0")
-        _need(isinstance(init["mode_k"], (list, tuple)) and len(init["mode_k"]) == 2
-              and all(isinstance(v, int) for v in init["mode_k"]),
-              "init.mode_k", "must be a pair of integers")
-        _need(init["width"] > 0, "init.width", "must be > 0")
-        _need(c["fit_t_min"] >= 0, "fit_t_min", "must be >= 0")
-        _need(c["fit_t_max"] is None or c["fit_t_max"] > c["fit_t_min"],
-              "fit_t_max", "must be null or > fit_t_min")
-    elif experiment == "linear-decay":
-        _check_solver_common(c)
-        _need(c["amplitude"] > 0, "amplitude", "must be > 0")
-        _need(c["fit_t_min"] >= 0, "fit_t_min", "must be >= 0")
-        _need(c["fit_t_max"] is None or c["fit_t_max"] > c["fit_t_min"],
-              "fit_t_max", "must be null or > fit_t_min")
-        _need(c["k_max"] is None or c["k_max"] > 0, "k_max",
-              "must be null or > 0")
-        _need(0 < c["delta"] < 1, "delta", "must be in (0, 1)")
-    elif experiment == "entropy":
-        _check_solver_common(c)
-        _need(c["eps_reg"] > 0, "eps_reg", "must be > 0")
-        _need(c["width"] > 0, "width", "must be > 0")
+    elif experiment in _SOLVER_INITS:
+        if "fit_t_min" in c:
+            _need(c["fit_t_min"] >= 0, "fit_t_min", "must be >= 0")
+            _need(c["fit_t_max"] is None or c["fit_t_max"] > c["fit_t_min"],
+                  "fit_t_max", "must be null or > fit_t_min")
+        if experiment == "linear-decay":
+            _need(c["amplitude"] > 0, "amplitude", "must be > 0")
+            _need(c["k_max"] is None or c["k_max"] > 0, "k_max",
+                  "must be null or > 0")
+            _need(0 < c["delta"] < 1, "delta", "must be in (0, 1)")
+        # every rule on the SolverConfig itself is the solver's
+        try:
+            validate(_experiment_solver_config(experiment, c))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
     else:  # pragma: no cover - guarded by argparse choices
         raise ConfigError(f"unknown experiment {experiment!r}")
 
@@ -298,18 +277,6 @@ def validate_config(experiment: str, c: dict) -> None:
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def _write_manifest(outdir: str, experiment: str, config: dict,
                     outputs: list[str], summary: dict, t0: float) -> str:
@@ -441,6 +408,23 @@ def _solver_config(c: dict, mode: str, init: InitSpec) -> SolverConfig:
         dealias=c.get("dealias", True))
 
 
+# solver experiment -> (mode, InitSpec from its resolved config)
+_SOLVER_INITS = {
+    "simulate": lambda c: (c["mode"], InitSpec(**c["init"])),
+    "linear-decay": lambda c: (
+        "linearized", InitSpec(recipe="random-smooth", amplitude=c["amplitude"])),
+    "entropy": lambda c: (
+        "regularized", InitSpec(recipe="large-blob", width=c["width"])),
+}
+
+
+def _experiment_solver_config(experiment: str, c: dict) -> SolverConfig:
+    """The SolverConfig of a solver experiment, for validation and for the
+    run alike."""
+    mode, init = _SOLVER_INITS[experiment](c)
+    return _solver_config(c, mode, init)
+
+
 def _write_run_outputs(outdir: str, result) -> list[str]:
     paths = [os.path.join(outdir, "diagnostics.csv")]
     write_diagnostics_csv(paths[0], result.series)
@@ -454,9 +438,7 @@ def _write_run_outputs(outdir: str, result) -> list[str]:
 
 
 def _run_simulate(c: dict, outdir: str):
-    init = InitSpec(recipe=c["init"]["recipe"], amplitude=c["init"]["amplitude"],
-                    mode_k=tuple(c["init"]["mode_k"]), width=c["init"]["width"])
-    cfg = _solver_config(c, c["mode"], init)
+    cfg = _experiment_solver_config("simulate", c)
     result = run(cfg)
     paths = _write_run_outputs(outdir, result)
     s = result.series
@@ -486,9 +468,7 @@ def _run_simulate(c: dict, outdir: str):
 
 
 def _run_linear_decay(c: dict, outdir: str):
-    init = InitSpec(recipe="random-smooth", amplitude=c["amplitude"])
-    cfg = _solver_config(c, "linearized", init)
-    result = run(cfg)
+    result = run(_experiment_solver_config("linear-decay", c))
     paths = _write_run_outputs(outdir, result)
     s = result.series
     t_max = c["fit_t_max"] if c["fit_t_max"] is not None else c["t_end"]
@@ -506,9 +486,7 @@ def _run_linear_decay(c: dict, outdir: str):
 
 
 def _run_entropy(c: dict, outdir: str):
-    init = InitSpec(recipe="large-blob", width=c["width"])
-    cfg = _solver_config(c, "regularized", init)
-    result = run(cfg)
+    result = run(_experiment_solver_config("entropy", c))
     paths = _write_run_outputs(outdir, result)
     s = result.series
     fit = fit_entropy_growth(s)

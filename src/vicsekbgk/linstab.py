@@ -46,7 +46,6 @@ __all__ = [
     "flux_relaxation_matrix",
     "lambda_J",
     "axis_coefficients",
-    "c1_symmetrized",
     "DispersionCoefficients",
     "dispersion_coefficients",
     "phi0",
@@ -215,34 +214,6 @@ def axis_coefficients(z, kmag: float, d: int):
     return c0, c1, c2
 
 
-def c1_symmetrized(z, kmag: float, d: int, n: int | None = None):
-    """c1 via the manifestly damped form -i|k| Int omega_1^2 M_0 /
-    ((1+z)^2 + |k|^2 omega_1^2), evaluated by quadrature.
-
-    Provided as an independent cross-check of the closed form; the node count
-    grows with |k| because the integrand peaks on a 1/|k| scale.
-    """
-    if d not in (2, 3):
-        raise ValueError("d in (2, 3)")
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    a2 = (1.0 + z) ** 2
-    b = float(kmag)
-    if n is None:
-        n = max(2048, 32 * int(math.ceil(b)))
-    if d == 2:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        u = np.cos(theta)
-        wgt = np.full(n, 1.0 / n)  # includes the 1/(2 pi) of M_0
-    else:
-        x, w = np.polynomial.legendre.leggauss(n)
-        u = x
-        wgt = w / 2.0
-    out = -1j * b * ((u**2 * wgt) @ (1.0 / (a2[:, None] + (b * u[None, :]) ** 2)).T)
-    return complex(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # dispersion coefficients (a, b, bbar, A, h) at general (z, k, mu, J)
 # ---------------------------------------------------------------------------
@@ -259,18 +230,11 @@ def _fourier_columns_2d(mu: float, J: np.ndarray, n: int | None = None):
         while n < 8 * L + 64:
             n *= 2
     theta = 2.0 * np.pi * np.arange(n) / n
-    if L > 0:
-        beta = math.atan2(J[1], J[0])
-        M = np.exp(L * (np.cos(theta - beta) - 1.0))
-    else:
-        beta = 0.0
-        M = np.ones(n)
-    M /= M.sum() * (2.0 * np.pi / n)
-    c = float(order_parameter(L, 2))
-    e1 = c * math.cos(beta) if L > 0 else 0.0
-    e2 = c * math.sin(beta) if L > 0 else 0.0
     w1 = np.cos(theta)
     w2 = np.sin(theta)
+    M = von_mises(J, SphereGrid(2, np.stack([w1, w2], axis=1),
+                                np.full(n, 2.0 * np.pi / n), theta))
+    e1, e2 = float(order_parameter(L, 2)) * J / L if L > 0 else (0.0, 0.0)
     G1 = (w1 - e1) * M
     G2 = (w2 - e2) * M
     return np.stack([M, w1 * M, w2 * M, G1, G2,

@@ -39,6 +39,10 @@ Three right-hand sides are supported:
 Nodal values are formed with one irfft2 only at diagnostics and snapshot
 times; `init_field`, the diagnostics and the snapshots all see nodal fields.
 
+Every rule on the fields of a SolverConfig and its InitSpec is stated once,
+in `validate`.  It runs when the config is used (`init_field`, `run`), not
+when it is built, and the command line calls it before computing anything.
+
 Normalization: fields are normalized so the *mean* density
 (2pi)^{-2} Int Int F dx domega equals mu; the equilibrium field is then
 exactly mu M_{J_eq} and mu is the local mean density appearing in every
@@ -73,6 +77,7 @@ __all__ = [
     "DiagnosticsSeries",
     "RunResult",
     "EntropyFit",
+    "validate",
     "init_field",
     "equilibrium_flux",
     "step",
@@ -117,7 +122,8 @@ class InitSpec:
 
     def __post_init__(self):
         # configs arrive from JSON with lists; keep the spec hashable
-        object.__setattr__(self, "mode_k", tuple(int(v) for v in self.mode_k))
+        if np.iterable(self.mode_k):
+            object.__setattr__(self, "mode_k", tuple(self.mode_k))
 
 
 @dataclass(frozen=True)
@@ -168,26 +174,54 @@ class SolverAbort(RuntimeError):
         self.t = t
 
 
-def _validate(config: SolverConfig) -> None:
-    if config.mode not in MODES:
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if config.init.recipe not in RECIPES:
-        raise ValueError(f"unknown init recipe {config.init.recipe!r}")
-    if config.mu <= 0:
-        raise ValueError("mu must be positive")
-    if config.nx < 4 or config.nx % 2 or config.ntheta < 8 or config.ntheta % 2:
-        raise ValueError("need even nx >= 4 and even ntheta >= 8")
-    if config.dt <= 0 or config.t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
-    if config.mode == "regularized" and not (config.eps_reg and config.eps_reg > 0):
-        raise ValueError("regularized mode requires eps_reg > 0")
-    if config.snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    if config.init.recipe == "large-blob" and config.mode == "linearized":
-        raise ValueError("large-blob is not a perturbation recipe")
-    if config.init.recipe == "mode-bump" and tuple(config.init.mode_k) == (0, 0) \
-            and config.mode == "linearized":
-        raise ValueError("linearized mode-bump needs a nonzero spatial mode")
+def _require(ok: bool, key: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"invalid value for {key}: {what}")
+
+
+def _num_steps(config: SolverConfig) -> int:
+    return int(round(config.t_end / config.dt))
+
+
+def validate(config: SolverConfig) -> None:
+    """Check every rule on the fields of a SolverConfig and its InitSpec.
+
+    This is the one place those rules are stated: init_field and run call
+    it, and the command line calls it before any computation.  Raises
+    ValueError naming the offending field.  Whether the initial field is
+    nonnegative depends on the data and is checked by init_field.
+    """
+    spec = config.init
+    _require(config.mode in MODES, "mode", "must be " + ", ".join(MODES))
+    _require(spec.recipe in RECIPES, "init.recipe", "must be " + ", ".join(RECIPES))
+    _require(config.mu > 0, "mu", "must be > 0")
+    _require(config.gamma > 0, "gamma", "must be > 0")
+    _require(config.nx >= 4 and config.nx % 2 == 0, "nx",
+             "must be an even integer >= 4")
+    _require(config.ntheta >= 8 and config.ntheta % 2 == 0, "ntheta",
+             "must be an even integer >= 8")
+    _require(config.dt > 0, "dt", "must be > 0")
+    _require(config.t_end > 0, "t_end", "must be > 0")
+    n = _num_steps(config) if math.isfinite(config.t_end / config.dt) else 0
+    _require(n >= 1 and abs(n * config.dt - config.t_end)
+             <= 1e-9 * max(1.0, config.t_end),
+             "t_end", "must be a positive integer multiple of dt")
+    if config.mode == "regularized":
+        _require(config.eps_reg is not None and config.eps_reg > 0, "eps_reg",
+                 "must be > 0 in regularized mode")
+    _require(config.snapshot_every >= 1, "snapshot_every",
+             "must be a positive integer")
+    _require(config.seed >= 0, "seed", "must be >= 0")
+    _require(spec.amplitude >= 0, "init.amplitude", "must be >= 0")
+    _require(spec.width > 0, "init.width", "must be > 0")
+    _require(isinstance(spec.mode_k, tuple) and len(spec.mode_k) == 2
+             and all(isinstance(v, (int, np.integer)) for v in spec.mode_k),
+             "init.mode_k", "must be a pair of integers")
+    if config.mode == "linearized":
+        _require(spec.recipe != "large-blob", "init.recipe",
+                 "large-blob is not a perturbation recipe")
+        _require(spec.recipe != "mode-bump" or spec.mode_k != (0, 0),
+                 "init.mode_k", "linearized mode-bump needs a nonzero spatial mode")
 
 
 def _equilibrium_flux(mu: float, angle: float) -> np.ndarray:
@@ -238,9 +272,6 @@ class _Workspace:
                  mu: float, mode: str, eps_reg: float | None,
                  jeq_angle: float, dealias: bool):
         self.grid = build_sphere_grid(2, ntheta)
-        # rows (cos, sin, -1): [J*_x, J*_y, |J*|] @ basis is the exponent
-        # J* . omega - |J*| of the von Mises target
-        self.exponent_basis = np.vstack([self.grid.nodes.T, -np.ones(ntheta)])
         self.wtheta = 2.0 * math.pi / ntheta
         self.weights = _moment_weights(self.grid)
         self.shape = (nx, nx)
@@ -311,9 +342,8 @@ def _collide(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
         shrink = np.where(rs > ws.jcap, ws.jcap / np.where(rs > 0, rs, 1.0), 1.0)
         Jsx = Jsx * shrink
         Jsy = Jsy * shrink
-    rs = np.hypot(Jsx, Jsy)
-    E = np.exp(np.stack([Jsx, Jsy, rs], axis=-1) @ ws.exponent_basis)
-    E *= (rho / (E.sum(axis=2) * ws.wtheta))[..., None]
+    E = von_mises(np.stack([Jsx, Jsy], axis=-1), ws.grid)
+    E *= rho[..., None]
     target = np.fft.rfft2(E, axes=(0, 1))
     decay = math.exp(-h)
     target *= (1.0 - decay) if ws.keep is None else (1.0 - decay) * ws.keep
@@ -352,26 +382,26 @@ def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _random_smooth(nx: int, theta: np.ndarray, seed: int) -> np.ndarray:
-    """Fixed-seed random trigonometric polynomial with sup norm 1."""
+    """Fixed-seed random trigonometric polynomial with sup norm 1: the sum of
+    amp cos(m1 x1 + m2 x2 + j theta + pha) over |m1|, |m2| <= 2, |j| <= 3,
+    with (amp, pha) drawn in (m1, m2, j) order, evaluated as the real part
+    of one contraction of 1-D complex exponential tables."""
     rng = np.random.default_rng(seed)
+    coef = np.empty((5, 5, 7), dtype=complex)
+    for idx in np.ndindex(coef.shape):
+        amp = rng.normal()
+        coef[idx] = amp * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     x = 2.0 * math.pi * np.arange(nx) / nx
-    X1 = x[:, None, None]
-    X2 = x[None, :, None]
-    TH = theta[None, None, :]
-    g = np.zeros((nx, nx, theta.size))
-    for m1 in range(-2, 3):
-        for m2 in range(-2, 3):
-            for j in range(-3, 4):
-                amp = rng.normal()
-                pha = rng.uniform(0.0, 2.0 * math.pi)
-                g = g + amp * np.cos(m1 * X1 + m2 * X2 + j * TH + pha)
+    ex = np.exp(1j * np.multiply.outer(np.arange(-2, 3), x))
+    eth = np.exp(1j * np.multiply.outer(np.arange(-3, 4), theta))
+    g = np.einsum("abc,ax,by,cz->xyz", coef, ex, ex, eth, optimize=True).real
     return g / np.max(np.abs(g))
 
 
 def init_field(config: SolverConfig) -> PhaseField:
     """Build the initial field of a run; every recipe is rescaled so the
     mean density is exactly mu (mean zero, for linearized perturbations)."""
-    _validate(config)
+    validate(config)
     ws = _workspace_of(config, config.dt)
     nx, ntheta = config.nx, config.ntheta
     spec = config.init
@@ -379,7 +409,7 @@ def init_field(config: SolverConfig) -> PhaseField:
     base = np.broadcast_to(config.mu * ws.Meq, (nx, nx, ntheta)).copy()
 
     if spec.recipe == "mode-bump":
-        m1, m2 = (int(v) for v in spec.mode_k)
+        m1, m2 = spec.mode_k
         bump = np.cos(m1 * x[:, None, None] + m2 * x[None, :, None])
         bump = np.broadcast_to(bump, base.shape)
         if config.mode == "linearized":
@@ -484,19 +514,17 @@ def dist_to_manifold(F: PhaseField, mu: float) -> float:
     L = solve_L(mu, 2)
     Fbar = F.values.mean(axis=(0, 1))
     spread2 = float(np.sum((F.values - Fbar) ** 2)) * dx2 * wq
-    theta = grid.angles
     area2 = (2.0 * math.pi) ** 2
 
-    def gap(phi: float) -> float:
-        m = np.exp(L * (np.cos(theta - phi) - 1.0))
-        m /= m.sum() * wq
-        return float(np.sum((Fbar - mu * m) ** 2)) * wq
+    def gap(phi):
+        """Squared theta-distance to mu M_phi, for one phi or an array."""
+        m = von_mises(L * np.array([np.cos(phi), np.sin(phi)]).T, grid)
+        return np.sum((Fbar - mu * m) ** 2, axis=-1) * wq
 
     jbar = _moments(Fbar, _moment_weights(grid))[1:]
     seed = math.atan2(jbar[1], jbar[0]) if np.linalg.norm(jbar) > 0 else 0.0
     scan = seed + np.linspace(-math.pi, math.pi, 33)[:-1]
-    vals = [gap(p) for p in scan]
-    best = int(np.argmin(vals))
+    best = int(np.argmin(gap(scan)))
     lo = scan[best] - 2.0 * math.pi / 32
     hi = scan[best] + 2.0 * math.pi / 32
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -571,10 +599,8 @@ def run(config: SolverConfig) -> RunResult:
     Raises SolverAbort (with the failure time) as soon as the state stops
     being finite.
     """
-    _validate(config)
-    nsteps = int(round(config.t_end / config.dt))
-    if abs(nsteps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
+    validate(config)
+    nsteps = _num_steps(config)
     ws = _workspace_of(config, config.dt)
     F = init_field(config)
     rows = [_diagnostics_row(F, 0.0, config, ws)]
@@ -591,7 +617,7 @@ def run(config: SolverConfig) -> RunResult:
             rows.append(_diagnostics_row(F, t, config, ws))
             if config.keep_snapshots:
                 snaps.append((t, F.values))
-    if not config.keep_snapshots and nsteps > 0:
+    if not config.keep_snapshots:
         snaps.append((nsteps * config.dt, F.values))
     return RunResult(config=config, series=DiagnosticsSeries.from_rows(rows),
                      snapshots=snaps)
@@ -669,13 +695,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
-    """Write the diagnostics table (exact header, %.17g floats, \\n endings)."""
-    lines = [DIAGNOSTICS_HEADER]
-    for i in range(len(series)):
-        lines.append(",".join(_fmt(getattr(series, c)[i]) for c in _COLUMNS))
+def _write_csv(path, header: str, rows) -> None:
+    """Write a table: the header line, then one line of %.17g floats per
+    row, \\n line endings.  Every CSV of the package goes through here."""
+    lines = [header]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
+    """Write the diagnostics table (exact header, %.17g floats, \\n endings)."""
+    _write_csv(path, DIAGNOSTICS_HEADER,
+               zip(*(getattr(series, c) for c in _COLUMNS)))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:

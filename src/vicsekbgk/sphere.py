@@ -109,6 +109,16 @@ def _as_param(J, d: int) -> np.ndarray:
     return J
 
 
+def _shifted_exp(J: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """exp(omega . J - |J|) at the nodes for J of shape (..., d), built in
+    place (the solver calls it on every cell of every substep); the values
+    are <= 1, so no concentration can overflow."""
+    e = J @ grid.nodes.T
+    e -= np.sqrt(np.square(J).sum(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    return e
+
+
 def partition_function(J, grid: SphereGrid) -> float:
     """Z(J) = Int exp(omega . J) domega on the given grid.
 
@@ -117,21 +127,25 @@ def partition_function(J, grid: SphereGrid) -> float:
     """
     J = _as_param(J, grid.d)
     jmag = float(np.linalg.norm(J))
-    shifted = grid.integrate(np.exp(grid.nodes @ J - jmag))
+    shifted = grid.integrate(_shifted_exp(J, grid))
     return float(shifted * math.exp(jmag)) if jmag < 700.0 else math.inf
 
 
 def von_mises(J, grid: SphereGrid) -> np.ndarray:
     """Nodal values of M_J, normalized so the grid quadrature of M_J is 1.
 
-    Grid normalization (rather than an external Z) makes Int M_J domega = 1
-    hold to round-off at any resolution, which the kinetic solver relies on
-    for exact discrete mass conservation.
+    J may be a batch of parameter vectors, shape (..., d); the result then
+    has shape (..., n).  Grid normalization (rather than an external Z)
+    makes Int M_J domega = 1 hold to round-off at any resolution, which the
+    kinetic solver relies on for exact discrete mass conservation.
     """
-    J = _as_param(J, grid.d)
-    jmag = float(np.linalg.norm(J))
-    e = np.exp(grid.nodes @ J - jmag)
-    return e / grid.integrate(e)
+    J = np.asarray(J, dtype=float)
+    if J.shape[-1:] != (grid.d,):
+        raise ValueError(
+            f"parameter vectors must have shape (..., {grid.d}), got {J.shape}")
+    e = _shifted_exp(J, grid)
+    e /= (e @ grid.weights)[..., None]
+    return e
 
 
 def von_mises_gradient(J, grid: SphereGrid) -> np.ndarray:

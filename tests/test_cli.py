@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,6 +104,26 @@ def test_infinite_dt_exits_2(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--set", "t_end=0.015"], "t_end"),
+    (["linear-decay", "--set", "t_end=10.005"], "t_end"),
+    (["simulate", "--set", "mode=linearized",
+      "--set", "init.recipe=large-blob"], "init.recipe"),
+    (["simulate", "--set", "mode=linearized", "--set", "init.recipe=mode-bump",
+      "--set", "init.mode_k=[0,0]"], "init.mode_k"),
+    (["simulate", "--set", "seed=-1"], "seed"),
+])
+def test_solver_rule_exits_2_before_computing(tmp_path, capsys, argv, key):
+    start = time.monotonic()
+    rc = cli.main(argv + ["--quiet", "--output-dir", str(tmp_path)])
+    elapsed = time.monotonic() - start
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "manifest.json").exists()
+    assert elapsed < 1.0
+
+
 def test_non_finite_json_rejected(tmp_path):
     for text in ("NaN", "Infinity", "-Infinity", "1e999"):
         with pytest.raises(cli.ConfigError, match="non-finite"):
@@ -173,6 +194,19 @@ def test_dispersion_mini(tmp_path):
     lines = (tmp_path / "dispersion.csv").read_text().splitlines()
     assert lines[0] == "z_re,z_im,k1,k2,min_singular,re_h"
     assert len(lines) - 1 == summary["num_points"]
+
+
+def test_dispersion_golden(tmp_path):
+    # byte-level pin of a small table below threshold (J = 0): the kernel
+    # columns, the sweep and the %.17g CSV writer all enter these bytes
+    rc = cli.main(["dispersion", "--set", "mu=1.9", "--set", "im_max=2.0",
+                   "--set", "z_step=0.5", "--set", "k_max=10", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 0
+    data = (tmp_path / "dispersion.csv").read_bytes()
+    assert data.count(b"\n") == 109
+    assert hashlib.sha256(data).hexdigest() == (
+        "1a21791670c9fa2ee71a0fa4d8dffe357aac45ad3f12d7501eb3ecffb5610921")
 
 
 def test_bounds_mini(tmp_path):

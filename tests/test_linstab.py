@@ -14,7 +14,6 @@ from vicsekbgk.linstab import (
     c0_bound,
     c1_bound,
     c2_bound,
-    c1_symmetrized,
     default_eps,
     default_z_grid,
     dispersion_coefficients,
@@ -29,6 +28,34 @@ from vicsekbgk.linstab import (
     spectral_abscissa,
 )
 from vicsekbgk.sphere import build_sphere_grid, von_mises, von_mises_gradient
+
+
+def c1_symmetrized(z, kmag: float, d: int, n: int | None = None):
+    """c1 via the manifestly damped form -i|k| Int omega_1^2 M_0 /
+    ((1+z)^2 + |k|^2 omega_1^2), evaluated by quadrature.
+
+    Provided as an independent cross-check of the closed form; the node count
+    grows with |k| because the integrand peaks on a 1/|k| scale.
+    """
+    if d not in (2, 3):
+        raise ValueError("d in (2, 3)")
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    a2 = (1.0 + z) ** 2
+    b = float(kmag)
+    if n is None:
+        n = max(2048, 32 * int(math.ceil(b)))
+    if d == 2:
+        theta = 2.0 * np.pi * np.arange(n) / n
+        u = np.cos(theta)
+        wgt = np.full(n, 1.0 / n)  # includes the 1/(2 pi) of M_0
+    else:
+        x, w = np.polynomial.legendre.leggauss(n)
+        u = x
+        wgt = w / 2.0
+    out = -1j * b * ((u**2 * wgt) @ (1.0 / (a2[:, None] + (b * u[None, :]) ** 2)).T)
+    return complex(out[0]) if scalar else out
 
 
 def _dense_kernel_moments(z, k, mu, J, n=4096):

@@ -121,6 +121,35 @@ def test_init_negative_rejected():
         init_field(cfg)
 
 
+def test_init_rejects_fractional_mode_zero_gamma_and_empty_run():
+    for cfg in (SolverConfig(mu=1.0, init=InitSpec(mode_k=(1.5, 0))),
+                SolverConfig(mu=1.0, gamma=0),
+                SolverConfig(mu=1.0, t_end=1e-12)):
+        with pytest.raises(ValueError):
+            init_field(cfg)
+
+
+def test_random_smooth_matches_loop_oracle():
+    # the term-by-term sum of full-grid cosines, drawn in the same order
+    def oracle(nx, theta, seed):
+        rng = np.random.default_rng(seed)
+        x = 2.0 * math.pi * np.arange(nx) / nx
+        X1, X2, TH = x[:, None, None], x[None, :, None], theta[None, None, :]
+        g = np.zeros((nx, nx, theta.size))
+        for m1 in range(-2, 3):
+            for m2 in range(-2, 3):
+                for j in range(-3, 4):
+                    amp = rng.normal()
+                    pha = rng.uniform(0.0, 2.0 * math.pi)
+                    g = g + amp * np.cos(m1 * X1 + m2 * X2 + j * TH + pha)
+        return g / np.max(np.abs(g))
+
+    theta = build_sphere_grid(2, 16).angles
+    for seed in (0, 11, 12):
+        got = solver._random_smooth(8, theta, seed)
+        assert np.max(np.abs(got - oracle(8, theta, seed))) <= 1e-13
+
+
 def test_regularized_flux():
     J = np.array([[0.3, 0.4], [3.0, 0.0], [0.0, 0.0]])
     out = regularized_flux(J.copy(), 1.0)

@@ -194,6 +194,18 @@ def test_moments_of_equilibrium():
         assert np.max(np.abs(pair.J - J)) < 1e-8
 
 
+def test_von_mises_batch_matches_single():
+    grid = build_sphere_grid(2, 32)
+    J = np.array([[[0.0, 0.0], [1.5, -0.3]], [[-2.0, 4.0], [0.2, 0.1]]])
+    batch = von_mises(J, grid)
+    assert batch.shape == (2, 2, 32)
+    for idx in np.ndindex(2, 2):
+        assert np.allclose(batch[idx], von_mises(J[idx], grid),
+                           rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        von_mises(np.zeros((4, 3)), grid)
+
+
 def test_moment_length_mismatch():
     grid = build_sphere_grid(2, 32)
     with pytest.raises(ValueError):
