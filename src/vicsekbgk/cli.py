@@ -305,14 +305,15 @@ def _run_bifurcation(c: dict, outdir: str):
     d = c["d"]
     mus = np.linspace(c["mu_min"], c["mu_max"], c["num"])
     branch = equilibrium_branch(mus, d, tol=c["tol"])
-    rows = [(mu, L, asymptotic_L(float(mu), d), res)
-            for mu, L, res in zip(branch.mu, branch.L, branch.residual)]
+    asymptotic = [asymptotic_L(float(mu), d) for mu in branch.mu]
     path = os.path.join(outdir, "branch.csv")
-    _write_csv(path, "mu,L_solved,L_asymptotic,residual", rows)
+    _write_csv(path, "mu,L_solved,L_asymptotic,residual",
+               (branch.mu, branch.L, asymptotic, branch.residual))
     ordered = branch.L[branch.mu > d]
+    num_rows = len(branch.mu)
     summary = {
-        "num_rows": len(rows),
-        "max_residual": float(branch.residual.max()) if len(rows) else 0.0,
+        "num_rows": num_rows,
+        "max_residual": float(branch.residual.max()) if num_rows else 0.0,
         "monotone_above_threshold": bool(np.all(np.diff(ordered) > 0))
         if ordered.size > 1 else True,
     }
@@ -324,7 +325,7 @@ def _run_homogeneous(c: dict, outdir: str):
     J0[0] = c["L0"]
     traj = homogeneous_flow(c["mu"], J0, t_end=c["t_end"], dt=c["dt"])
     path = os.path.join(outdir, "homogeneous.csv")
-    _write_csv(path, "t,L", zip(traj.t, traj.L))
+    _write_csv(path, "t,L", (traj.t, traj.L))
     L_limit = solve_L(c["mu"], c["d"]) if c["mu"] > c["d"] else 0.0
     summary = {
         "L_end": float(traj.L[-1]),
@@ -340,19 +341,20 @@ def _run_dispersion(c: dict, outdir: str):
     sweep = dispersion_sweep(c["mu"], c["gamma"], c["d"],
                              z_values=z_values, k_max=c["k_max"],
                              delta=c["delta"])
-    rows = []
-    for i, k in enumerate(sweep.k_vectors):
-        for j, z in enumerate(sweep.z_values):
-            rows.append((z.real, z.imag, k[0], k[1],
-                         sweep.sigma_min[i, j], sweep.re_h[i, j]))
+    # one row per (k, z) pair, k-major
+    nk, nz = sweep.re_h.shape
     path = os.path.join(outdir, "dispersion.csv")
-    _write_csv(path, "z_re,z_im,k1,k2,min_singular,re_h", rows)
+    _write_csv(path, "z_re,z_im,k1,k2,min_singular,re_h",
+               (np.tile(sweep.z_values.real, nk), np.tile(sweep.z_values.imag, nk),
+                np.repeat(sweep.k_vectors[:, 0], nz),
+                np.repeat(sweep.k_vectors[:, 1], nz),
+                sweep.sigma_min.ravel(), sweep.re_h.ravel()))
     below = int(np.count_nonzero(sweep.re_h < 0.2))
     summary = {
         "min_re_h": sweep.min_re_h,
         "min_singular": sweep.min_sigma,
         "max_inv_norm": sweep.max_inv_norm,
-        "num_points": len(rows),
+        "num_points": sweep.re_h.size,
         "num_below_one_fifth": below,
         "flagged": bool(below > 0),
         "argmin_h_z": [sweep.argmin_h[0].real, sweep.argmin_h[0].imag],
@@ -369,31 +371,28 @@ def _run_bounds(c: dict, outdir: str):
     n = c["num_samples"]
     z = rng.uniform(0.0, c["re_max"], n) + 1j * rng.uniform(-c["im_max"], c["im_max"], n)
     kmag = rng.uniform(c["gamma"], c["kmag_max"], n)
-    rows = []
-    worst = {"c0": -math.inf, "c1": -math.inf, "c2": -math.inf}
-    for zi, ki in zip(z, kmag):
+    # one row per sample: (z_re, z_im, kmag), then (Re c0, |c1|, d|c2|),
+    # then their three bounds
+    table = np.empty((n, 9))
+    for i, (zi, ki) in enumerate(zip(z, kmag)):
         c0, c1, c2 = axis_coefficients(complex(zi), float(ki), d)
-        b0 = c0_bound(float(ki), d)
-        b1 = c1_bound(float(ki), d)
-        b2 = c2_bound(float(ki), d, eps)
-        rows.append((zi.real, zi.imag, ki, c0.real, abs(c1), d * abs(c2),
-                     b0, b1, d * b2))
-        worst["c0"] = max(worst["c0"], c0.real - b0)
-        worst["c1"] = max(worst["c1"], abs(c1) - b1)
-        worst["c2"] = max(worst["c2"], d * abs(c2) - d * b2)
+        table[i] = (zi.real, zi.imag, ki, c0.real, abs(c1), d * abs(c2),
+                    c0_bound(float(ki), d), c1_bound(float(ki), d),
+                    d * c2_bound(float(ki), d, eps))
     path = os.path.join(outdir, "bounds.csv")
     _write_csv(path, "z_re,z_im,kmag,re_c0,abs_c1,d_abs_c2,"
-                     "bound_c0,bound_c1,bound_d_c2", rows)
+                     "bound_c0,bound_c1,bound_d_c2", table.T)
+    worst = (table[:, 3:6] - table[:, 6:9]).max(axis=0)
     summary = {
         "eps": eps,
         "alpha2": budget.alpha2,
         "phi0": budget.phi0,
         "phi2": budget.phi2,
-        "max_violation_c0": worst["c0"],
-        "max_violation_c1": worst["c1"],
-        "max_violation_c2": worst["c2"],
+        "max_violation_c0": float(worst[0]),
+        "max_violation_c1": float(worst[1]),
+        "max_violation_c2": float(worst[2]),
         "num_samples": n,
-        "all_bounds_hold": bool(max(worst.values()) <= 0.0),
+        "all_bounds_hold": bool(worst.max() <= 0.0),
     }
     return [path], summary
 

@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize, special
 
+from .sphere import gauss_legendre
+
 __all__ = [
     "order_parameter",
     "order_parameter_derivative",
@@ -40,7 +42,7 @@ def _quadrature_stats(r: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     rmax = float(np.max(r, initial=0.0))
     n = max(128, 8 * int(math.ceil(rmax)) + 32)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     t = 0.5 * np.pi * (x + 1.0)
     ct = np.cos(t)
     base = w * np.sin(t) ** (d - 2)

@@ -34,8 +34,8 @@ import numpy as np
 from scipy import optimize
 
 from .equilibria import order_parameter, solve_L
-from .sphere import SphereGrid, auto_node_count, build_sphere_grid, von_mises, \
-    von_mises_gradient
+from .sphere import SphereGrid, auto_node_count, build_sphere_grid, \
+    gauss_legendre, von_mises, von_mises_gradient
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -218,7 +218,7 @@ def axis_coefficients(z, kmag: float, d: int):
 # dispersion coefficients (a, b, bbar, A, h) at general (z, k, mu, J)
 # ---------------------------------------------------------------------------
 
-def _fourier_columns_2d(mu: float, J: np.ndarray, n: int | None = None):
+def _fourier_columns_2d(J: np.ndarray, n: int | None = None):
     """Integrand columns on the uniform circle grid theta_i = 2 pi i / n.
 
     Returns cols with rows (M, w1 M, w2 M, G1, G2, w1 G1, w1 G2, w2 G1,
@@ -241,12 +241,28 @@ def _fourier_columns_2d(mu: float, J: np.ndarray, n: int | None = None):
                      w1 * G1, w1 * G2, w2 * G1, w2 * G2])
 
 
-def _kernel_sums(cols: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
-                 tail: float = 1e-18) -> np.ndarray:
-    """Int g(theta) / (a + i b cos(theta - shift)) dtheta, rows g of cols.
+@lru_cache(maxsize=8)
+def _column_spectrum(J: tuple) -> np.ndarray:
+    """Read-only discrete Fourier coefficients fft(cols) / n of the
+    equilibrium columns ``_fourier_columns_2d``.
 
-    cols holds nodal values of g on the uniform circle grid (possibly
-    complex); zs is the batch of z values (a = 1 + z).  Substituting
+    They depend on the equilibrium flux only, while a sweep or the abscissa
+    search asks for them once per (z batch, k): one ``spectral_abscissa``
+    makes ~3,000 such requests.
+    """
+    cols = _fourier_columns_2d(np.array(J, dtype=float))
+    ghat = np.fft.fft(cols, axis=1) / cols.shape[1]
+    ghat.flags.writeable = False
+    return ghat
+
+
+def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
+                 tail: float = 1e-18) -> np.ndarray:
+    """Int g(theta) / (a + i b cos(theta - shift)) dtheta for each row g.
+
+    ghat holds the discrete Fourier coefficients fft(g) / n of nodal values
+    of g on the uniform n-point circle grid (g possibly complex); zs is the
+    batch of z values (a = 1 + z).  Substituting
     phi = theta - shift rotates g's Fourier coefficients by e^{im shift},
     after which the kernel contributes the geometric factors
     S_m = rho^|m| / w with w = sqrt(a^2 + b^2), rho = -i b / (w + a):
@@ -257,9 +273,8 @@ def _kernel_sums(cols: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
     Returns shape (nz, ncols).  Exact up to the trigonometric interpolation
     of g, i.e. machine precision for every b once g is resolved.
     """
-    ncols, n = cols.shape
+    ncols, n = ghat.shape
     a = 1.0 + zs
-    ghat = np.fft.fft(cols, axis=1) / n
     if b == 0.0:
         return 2.0 * np.pi * np.outer(1.0 / a, ghat[:, 0])
     half = n // 2
@@ -270,7 +285,9 @@ def _kernel_sums(cols: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
     sym[:, 1:half] = ghat[:, 1:half] * phase + ghat[:, n - 1:n - half:-1] / phase
     # Nyquist coefficient split symmetrically between e^{+-i(n/2)theta}
     sym[:, half] = ghat[:, half] * math.cos(half * shift)
-    # truncate where every column's tail is negligible
+    # meant to drop the tail where every column is negligible; FFT round-off
+    # (~1e-17 of the largest coefficient) stays above tail * scale, so in
+    # practice mmax is n/2 and nothing is dropped
     mags = np.abs(sym).max(axis=0)
     scale = max(float(mags.max()), 1e-300)
     keep = np.nonzero(mags > tail * scale)[0]
@@ -278,11 +295,12 @@ def _kernel_sums(cols: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
     sym = sym[:, :mmax + 1]
     w = np.sqrt(a * a + b * b)
     rho = -1j * b / (w + a)          # cancellation-free; |rho| < 1 for Re a > 0
-    powers = np.empty((zs.size, mmax + 1), dtype=complex)
-    powers[:, 0] = 1.0 / w
+    # (mmax+1, nz): each power of rho is one contiguous row
+    powers = np.empty((mmax + 1, zs.size), dtype=complex)
+    powers[0] = 1.0 / w
     for j in range(1, mmax + 1):
-        powers[:, j] = powers[:, j - 1] * rho
-    return 2.0 * np.pi * powers @ sym.T
+        powers[j] = powers[j - 1] * rho
+    return 2.0 * np.pi * powers.T @ sym.T
 
 
 def _batch_2d(zs: np.ndarray, k, mu: float, J: np.ndarray) -> dict:
@@ -290,8 +308,7 @@ def _batch_2d(zs: np.ndarray, k, mu: float, J: np.ndarray) -> dict:
     k = np.asarray(k, dtype=float)
     b = float(np.linalg.norm(k))
     alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
-    cols = _fourier_columns_2d(mu, J)
-    T = _kernel_sums(cols, zs, b, shift=alpha)
+    T = _kernel_sums(_column_spectrum(tuple(map(float, J))), zs, b, shift=alpha)
     return _assemble(zs, k, mu, T[:, 0], T[:, 1:3], T[:, 3:5],
                      T[:, 5:9].reshape(-1, 2, 2))
 
@@ -434,7 +451,7 @@ def alpha2(d: int, eps: float, n: int = 512) -> float:
         raise ValueError("d must be >= 2")
     # the cap {omega_1 >= eps} is the polar range [0, arccos eps]
     tcap = math.acos(eps)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     t = 0.5 * tcap * (x + 1.0)
     num = 0.5 * tcap * np.sum(w * np.cos(t) ** 2 * np.sin(t) ** (d - 2))
     t2 = 0.5 * math.pi * (x + 1.0)
@@ -720,7 +737,8 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
                           grid.nodes[:, 1] * f0_hat])
         # nodal data enters through its discrete Fourier coefficients, i.e.
         # the exact integral of its trigonometric interpolant
-        R = _kernel_sums(rcols, zs, b, shift=alpha)[0]
+        rhat = np.fft.fft(rcols, axis=1) / grid.n
+        R = _kernel_sums(rhat, zs, b, shift=alpha)[0]
         r_rho, r_J = complex(R[0]), np.array(R[1:3])
     else:
         out = _batch_grid(zs, k, mu, J, grid)

@@ -691,23 +691,22 @@ def fit_entropy_growth(series: DiagnosticsSeries) -> EntropyFit:
 # on-disk formats
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Write a table: the header line, then one line of %.17g floats per
-    row, \\n line endings.  Every CSV of the package goes through here."""
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path, header: str, columns) -> None:
+    """Write a table given as equal-length 1-D columns: the header line,
+    then one line per row of floats at 17 significant digits (round-trip
+    exact), \\n line endings.  Every CSV of the package goes through here;
+    the whole table is formatted by one %-operation."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    nrows, ncols = table.shape
+    line = ",".join(["%.17g"] * ncols) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + (line * nrows) % tuple(table.ravel().tolist()))
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
-    """Write the diagnostics table (exact header, %.17g floats, \\n endings)."""
-    _write_csv(path, DIAGNOSTICS_HEADER,
-               zip(*(getattr(series, c) for c in _COLUMNS)))
+    """Write the diagnostics table (exact header, 17-digit floats, \\n
+    endings)."""
+    _write_csv(path, DIAGNOSTICS_HEADER, [getattr(series, c) for c in _COLUMNS])
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:

@@ -6,6 +6,10 @@ the polar angle times an equispaced azimuth ring on the 2-sphere.  Both rules
 converge spectrally for smooth integrands, which is what keeps the von Mises
 moment identities at the 1e-10 level used downstream.
 
+Every Gauss-Legendre rule of the package (the 2-sphere grids, the axis
+integrals, the bound budget's alpha2 and the order-parameter quadrature)
+comes from :func:`gauss_legendre`, which builds each node count once.
+
 The von Mises density with parameter vector J is
 
     M_J(omega) = exp(omega . J) / Z(J),      Z(J) = Int_S exp(omega . J) domega,
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = [
     "MomentPair",
     "build_sphere_grid",
     "auto_node_count",
+    "gauss_legendre",
     "partition_function",
     "von_mises",
     "von_mises_gradient",
@@ -68,6 +74,19 @@ def auto_node_count(jmag: float) -> int:
     return max(64, 8 * int(math.ceil(abs(jmag))))
 
 
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule (nodes, weights) on [-1, 1].
+
+    ``leggauss(512)`` costs ~35 ms, so each rule is built once per node count
+    and shared; the arrays are read-only because every caller sees them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_sphere_grid(d: int, n: int) -> SphereGrid:
     """Build a quadrature grid on S^{d-1}.
 
@@ -90,7 +109,7 @@ def build_sphere_grid(d: int, n: int) -> SphereGrid:
         weights = np.full(n, 2.0 * np.pi / n)
         return SphereGrid(d=2, nodes=nodes, weights=weights, angles=theta)
     # d == 3: Gauss-Legendre in u = cos(polar), trapezoid in azimuth
-    u, wu = np.polynomial.legendre.leggauss(n)
+    u, wu = gauss_legendre(n)
     nphi = 2 * n
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     su = np.sqrt(1.0 - u**2)
@@ -195,7 +214,7 @@ def axis_integral(k: int, m: int, n: int | None = None) -> float:
         raise ValueError("indices must be nonnegative")
     if n is None:
         n = 64 + 8 * (k + m)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     t = 0.5 * np.pi * (x + 1.0)
     return float(0.5 * np.pi * np.sum(w * np.cos(t) ** k * np.sin(t) ** m))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vicsekbgk import linstab
 from vicsekbgk.equilibria import solve_L
 from vicsekbgk.linstab import (
     SingularOperatorError,
@@ -472,3 +473,59 @@ def test_abscissa_candidates_structure():
     assert out["rate"] == -max(out["candidates"])
     for r in out["symbol_roots"]:
         assert r.real >= -out["delta"] - 1e-9
+
+
+def _kernel_sums_row_major(cols, zs, b, shift=0.0, tail=1e-18):
+    """linstab._kernel_sums as it was with an (nz, mmax+1) power table,
+    taking nodal columns: the bit-level oracle of the z-contiguous table."""
+    ncols, n = cols.shape
+    a = 1.0 + zs
+    ghat = np.fft.fft(cols, axis=1) / n
+    half = n // 2
+    m = np.arange(1, half)
+    phase = np.exp(1j * m * shift)
+    sym = np.empty((ncols, half + 1), dtype=complex)
+    sym[:, 0] = ghat[:, 0]
+    sym[:, 1:half] = ghat[:, 1:half] * phase + ghat[:, n - 1:n - half:-1] / phase
+    sym[:, half] = ghat[:, half] * math.cos(half * shift)
+    mags = np.abs(sym).max(axis=0)
+    scale = max(float(mags.max()), 1e-300)
+    keep = np.nonzero(mags > tail * scale)[0]
+    mmax = int(keep[-1]) if keep.size else 0
+    sym = sym[:, :mmax + 1]
+    w = np.sqrt(a * a + b * b)
+    rho = -1j * b / (w + a)
+    powers = np.empty((zs.size, mmax + 1), dtype=complex)
+    powers[:, 0] = 1.0 / w
+    for j in range(1, mmax + 1):
+        powers[:, j] = powers[:, j - 1] * rho
+    return 2.0 * np.pi * powers @ sym.T
+
+
+@pytest.mark.parametrize("k", [(10.0, 0.0), (10.0, 20.0), (-30.0, 40.0)])
+def test_kernel_sums_bit_equal_to_row_major_oracle(k):
+    zs = default_z_grid()
+    cols = linstab._fourier_columns_2d(np.array([solve_L(2.5, 2), 0.0]))
+    ghat = np.fft.fft(cols, axis=1) / cols.shape[1]
+    b = math.hypot(*k)
+    shift = math.atan2(k[1], k[0])
+    got = linstab._kernel_sums(ghat, zs, b, shift)
+    assert got.tobytes() == _kernel_sums_row_major(cols, zs, b, shift).tobytes()
+
+
+def test_coefficient_batches_transform_columns_once(monkeypatch):
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    mu = 2.3
+    J = solve_L(mu, 2) * np.array([0.6, 0.8])
+    zs = np.array([0.1 + 1.0j, 0.5 - 2.0j])
+    for i in range(100):
+        linstab._coefficient_batch(zs, (10.0 * (1 + i % 5), 10.0), mu, J)
+    assert len(calls) <= 1
+    assert not linstab._column_spectrum(tuple(J)).flags.writeable

@@ -478,3 +478,30 @@ def test_phase_field_copy_is_independent():
     G = F.copy()
     G.values[0, 0, 0] = 7.0
     assert F.values[0, 0, 0] == 1.0
+
+
+def _write_csv_per_value(path, header, rows):
+    """The per-value CSV writer that the one-pass ``solver._write_csv``
+    replaced, kept as its byte-level oracle."""
+    lines = [header]
+    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_write_csv_matches_per_value_oracle(tmp_path):
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                        math.nan, math.inf, -math.inf, 1.0 / 3.0, -2.0 / 3.0, 0.1,
+                        1.0, -7.0, 2.0**53, 12345678901234567.0, 1e-300, 123.456])
+    rng = np.random.default_rng(5)
+    scaled = rng.standard_normal(special.size) * 10.0 ** rng.integers(-300, 300, special.size)
+    columns = [special, special[::-1], scaled, np.arange(special.size)]
+    solver._write_csv(tmp_path / "new.csv", "a,b,c,d", columns)
+    _write_csv_per_value(tmp_path / "old.csv", "a,b,c,d", zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_zero_rows_writes_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    solver._write_csv(path, "t,L", (np.zeros(0), np.zeros(0)))
+    assert path.read_bytes() == b"t,L\n"

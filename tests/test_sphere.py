@@ -9,12 +9,14 @@ from vicsekbgk.sphere import (
     axis_integral,
     axis_integral_recursive,
     build_sphere_grid,
+    gauss_legendre,
     moments,
     partition_function,
     von_mises,
     von_mises_gradient,
 )
 from vicsekbgk.equilibria import solve_L
+from vicsekbgk.linstab import alpha2, c2_bound, default_eps
 
 from conftest import i0_series, bisect_branch
 
@@ -277,3 +279,44 @@ def test_axis_integral_negative_indices():
         axis_integral(-1, 0)
     with pytest.raises(ValueError):
         axis_integral_recursive(0, -2)
+
+
+# ---------------------------------------------------------------------------
+# cached Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 64, 512])
+def test_gauss_legendre_is_leggauss_read_only(n):
+    x, w = gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == xr.tobytes() and w.tobytes() == wr.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_repeated_quadrature_users_build_no_new_rule(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+
+    def use_rules():
+        alpha2(2, 0.3)
+        alpha2(3, 0.7)
+        c2_bound(12.0, 2)
+        c2_bound(30.0, 3, 0.4)
+        # the uncached root search: brentq calls alpha2 ~40 times
+        default_eps.__wrapped__(2)
+        build_sphere_grid(3, 16)
+        build_sphere_grid(3, 40)
+
+    use_rules()
+    built = len(calls)
+    for _ in range(3):
+        use_rules()
+    assert len(calls) == built
