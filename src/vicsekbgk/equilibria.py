@@ -81,6 +81,14 @@ def order_parameter(r, d: int):
     return float(out[0]) if scalar else out
 
 
+def _c_over_r(r: np.ndarray) -> np.ndarray:
+    """c(r)/r on the circle, I1(r)/(r I0(r)), stable as r -> 0."""
+    small = r < 1e-4
+    rs = np.where(small, 1.0, r)
+    return np.where(small, 0.5 - r**2 / 16.0,
+                    special.i1e(rs) / (rs * special.i0e(rs)))
+
+
 def order_parameter_derivative(r, d: int):
     """dc/dr, used by Newton polishing and stability formulas.
 
@@ -95,12 +103,8 @@ def order_parameter_derivative(r, d: int):
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if d == 2:
-        small = r < 1e-4
-        rs = np.where(small, 1.0, r)
-        c_over_r = np.where(small, 0.5 - r**2 / 16.0,
-                            special.i1e(rs) / (rs * special.i0e(rs)))
-        c = np.where(small, r * c_over_r, special.i1e(r) / special.i0e(r))
-        out = 1.0 - c_over_r - c**2
+        c = special.i1e(r) / special.i0e(r)
+        out = 1.0 - _c_over_r(r) - c**2
     elif d == 3:
         small = r < 1e-2
         big = r > 300.0

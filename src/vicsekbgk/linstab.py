@@ -16,24 +16,27 @@ dispersion function
 whose zeros (together with the zeros of det(Id - mu A) and the k = 0 moment
 rates) control the decay of the linearized semigroup.
 
-For d = 2 all the coefficient integrals are evaluated exactly: the kernel has
-the angular Fourier series sum_m S_m e^{im phi} with S_m = rho^|m| / w,
+Every coefficient runs through one path, ``_coefficient_batch``: the
+equilibrium columns (M, omega_i M, grad_J M, omega_i grad_J M) are built by
+one function on a sphere grid and integrated against the kernel.  For d = 2
+the integrals are exact on the circle: the kernel has the angular Fourier
+series sum_m S_m e^{im phi} with S_m = rho^|m| / w,
 w = sqrt((1+z)^2 + |k|^2), rho = -i|k|/(w + 1 + z), |rho| < 1, and the von
 Mises factors have superexponentially decaying Fourier coefficients, so the
 integrals are short geometric contractions instead of quadratures whose node
-count would have to grow like |k|.  For d = 3 grid quadrature is used with a
-node count scaled to |k|.
+count would have to grow like |k|.  For d = 3 grid quadrature is used on a
+grid built to resolve both |J| and |k|.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
 
-from .equilibria import order_parameter, solve_L
+from .equilibria import order_parameter, project_to_manifold, solve_L
 from .sphere import SphereGrid, auto_node_count, build_sphere_grid, \
     gauss_legendre, von_mises, von_mises_gradient
 
@@ -218,27 +221,26 @@ def axis_coefficients(z, kmag: float, d: int):
 # dispersion coefficients (a, b, bbar, A, h) at general (z, k, mu, J)
 # ---------------------------------------------------------------------------
 
-def _fourier_columns_2d(J: np.ndarray, n: int | None = None):
-    """Integrand columns on the uniform circle grid theta_i = 2 pi i / n.
+def _equilibrium_columns(J: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """The integrands of the coefficients at the nodes of grid.
 
-    Returns cols with rows (M, w1 M, w2 M, G1, G2, w1 G1, w1 G2, w2 G1,
-    w2 G2) where G = grad_J M at the equilibrium.
+    Returns the (1 + 2d + d^2, n) rows (M, w_i M, G_i, w_i G_j), i-major,
+    where M = M_J and G = grad_J M_J at the equilibrium flux J.
     """
-    L = float(np.linalg.norm(J))
-    if n is None:
-        n = 256
-        while n < 8 * L + 64:
-            n *= 2
-    theta = 2.0 * np.pi * np.arange(n) / n
-    w1 = np.cos(theta)
-    w2 = np.sin(theta)
-    M = von_mises(J, SphereGrid(2, np.stack([w1, w2], axis=1),
-                                np.full(n, 2.0 * np.pi / n), theta))
-    e1, e2 = float(order_parameter(L, 2)) * J / L if L > 0 else (0.0, 0.0)
-    G1 = (w1 - e1) * M
-    G2 = (w2 - e2) * M
-    return np.stack([M, w1 * M, w2 * M, G1, G2,
-                     w1 * G1, w1 * G2, w2 * G1, w2 * G2])
+    M = von_mises(J, grid)
+    G = von_mises_gradient(J, grid)
+    w = grid.nodes.T
+    return np.concatenate([M[None], w * M, G,
+                           (w[:, None] * G[None]).reshape(-1, grid.n)])
+
+
+def _fourier_columns_2d(J: np.ndarray) -> np.ndarray:
+    """The equilibrium columns on the uniform circle grid of n = 2^j >= 256
+    nodes, with n >= 8|J| + 64 so that M_J is resolved."""
+    n = 256
+    while n < 8 * float(np.linalg.norm(J)) + 64:
+        n *= 2
+    return _equilibrium_columns(J, build_sphere_grid(2, n))
 
 
 @lru_cache(maxsize=8)
@@ -256,8 +258,8 @@ def _column_spectrum(J: tuple) -> np.ndarray:
     return ghat
 
 
-def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
-                 tail: float = 1e-18) -> np.ndarray:
+def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
+                 shift: float = 0.0) -> np.ndarray:
     """Int g(theta) / (a + i b cos(theta - shift)) dtheta for each row g.
 
     ghat holds the discrete Fourier coefficients fft(g) / n of nodal values
@@ -285,67 +287,49 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float, shift: float = 0.0,
     sym[:, 1:half] = ghat[:, 1:half] * phase + ghat[:, n - 1:n - half:-1] / phase
     # Nyquist coefficient split symmetrically between e^{+-i(n/2)theta}
     sym[:, half] = ghat[:, half] * math.cos(half * shift)
-    # meant to drop the tail where every column is negligible; FFT round-off
-    # (~1e-17 of the largest coefficient) stays above tail * scale, so in
-    # practice mmax is n/2 and nothing is dropped
-    mags = np.abs(sym).max(axis=0)
-    scale = max(float(mags.max()), 1e-300)
-    keep = np.nonzero(mags > tail * scale)[0]
-    mmax = int(keep[-1]) if keep.size else 0
-    sym = sym[:, :mmax + 1]
     w = np.sqrt(a * a + b * b)
     rho = -1j * b / (w + a)          # cancellation-free; |rho| < 1 for Re a > 0
-    # (mmax+1, nz): each power of rho is one contiguous row
-    powers = np.empty((mmax + 1, zs.size), dtype=complex)
+    # (half+1, nz): each power of rho is one contiguous row
+    powers = np.empty((half + 1, zs.size), dtype=complex)
     powers[0] = 1.0 / w
-    for j in range(1, mmax + 1):
+    for j in range(1, half + 1):
         powers[j] = powers[j - 1] * rho
     return 2.0 * np.pi * powers.T @ sym.T
 
 
-def _batch_2d(zs: np.ndarray, k, mu: float, J: np.ndarray) -> dict:
+def _batch_2d(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
     """Coefficient batch for d = 2 via the exact kernel expansion."""
-    k = np.asarray(k, dtype=float)
     b = float(np.linalg.norm(k))
     alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
     T = _kernel_sums(_column_spectrum(tuple(map(float, J))), zs, b, shift=alpha)
-    return _assemble(zs, k, mu, T[:, 0], T[:, 1:3], T[:, 3:5],
-                     T[:, 5:9].reshape(-1, 2, 2))
+    return _assemble(T, mu, 2)
 
 
-def _batch_grid(zs: np.ndarray, k, mu: float, J: np.ndarray,
-                grid: SphereGrid, chunk: int = 128) -> dict:
-    """Coefficient batch by direct grid quadrature (the d = 3 path)."""
-    k = np.asarray(k, dtype=float)
-    d = grid.d
-    M = von_mises(J, grid)
-    G = von_mises_gradient(J, grid)
-    cols = np.empty((1 + 2 * d + d * d, grid.n))
-    cols[0] = M
-    for i in range(d):
-        cols[1 + i] = grid.nodes[:, i] * M
-    for i in range(d):
-        cols[1 + d + i] = G[i]
-    for i in range(d):
-        for j in range(d):
-            cols[1 + 2 * d + d * i + j] = grid.nodes[:, i] * G[j]
-    wcols = cols * grid.weights
+def _batch_grid(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
+    """Coefficient batch by quadrature on a grid that resolves |J| and |k|
+    (the d = 3 path)."""
+    d = k.size
+    grid = build_sphere_grid(d, max(auto_node_count(float(np.linalg.norm(J))),
+                                    int(math.ceil(15.0 * np.linalg.norm(k)))))
+    wcols = _equilibrium_columns(J, grid) * grid.weights
     komega = grid.nodes @ k
     T = np.empty((zs.size, wcols.shape[0]), dtype=complex)
+    chunk = 128                      # bounds the (chunk, n) resolvent block
     for start in range(0, zs.size, chunk):
         zz = zs[start:start + chunk]
         R = 1.0 / (1.0 + zz[:, None] + 1j * komega[None, :])
         T[start:start + chunk] = R @ wcols.T
+    return _assemble(T, mu, d)
+
+
+def _assemble(T: np.ndarray, mu: float, d: int) -> dict:
+    """Split the integrated columns T (rows of ``_equilibrium_columns``, one
+    row of T per z) into (a, b, bbar, A), eliminate J~ and add
+    (h, det, sigma_min)."""
     a = T[:, 0]
     bvec = T[:, 1:1 + d]
     bbar = T[:, 1 + d:1 + 2 * d]
     A = T[:, 1 + 2 * d:].reshape(-1, d, d)
-    return _assemble(zs, k, mu, a, bvec, bbar, A)
-
-
-def _assemble(zs, k, mu, a, bvec, bbar, A) -> dict:
-    """Eliminate J~ and package (h, det, sigma_min) alongside coefficients."""
-    d = bvec.shape[1]
     eye = np.eye(d)
     Mop = eye[None, :, :] - mu * A
     if d == 2:
@@ -364,29 +348,24 @@ def _assemble(zs, k, mu, a, bvec, bbar, A) -> dict:
         X = np.linalg.solve(Mop, bvec[..., None])[..., 0]
         sigma_min = np.linalg.svd(Mop, compute_uv=False)[:, -1]
     h = 1.0 - a - mu * np.einsum("ij,ij->i", bbar, X)
-    return {"z": zs, "k": np.asarray(k, dtype=float), "mu": mu,
-            "a": a, "b": bvec, "b_bar": bbar, "A": A,
+    return {"a": a, "b": bvec, "b_bar": bbar, "A": A,
             "h": h, "det": det, "sigma_min": sigma_min}
 
 
-def _coefficient_batch(zs, k, mu: float, J=None, grid: SphereGrid | None = None,
-                       d: int | None = None) -> dict:
+def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
+    """Coefficients, h, det and sigma_min at a batch of z for one k.
+
+    J must be an equilibrium flux, checked once by the public caller
+    (``_check_equilibrium``), and k must have its shape; d = k.size selects
+    the exact circle expansion (d = 2) or grid quadrature (d = 3).
+    """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.real <= -1.0):
         raise ValueError("need Re z > -1")
     k = np.asarray(k, dtype=float)
-    if d is None:
-        d = grid.d if grid is not None else k.size
-    if k.shape != (d,):
-        raise ValueError(f"wavenumber must have shape ({d},)")
-    J = _check_equilibrium(mu, J, d)
-    if d == 2 and grid is None:
-        return _batch_2d(zs, k, mu, J)
-    if grid is None:
-        n = max(auto_node_count(float(np.linalg.norm(J))),
-                int(math.ceil(15.0 * np.linalg.norm(k))))
-        grid = build_sphere_grid(d, n)
-    return _batch_grid(zs, k, mu, J, grid)
+    if k.shape != J.shape:
+        raise ValueError(f"wavenumber must have shape {J.shape}")
+    return (_batch_2d if k.size == 2 else _batch_grid)(zs, k, mu, J)
 
 
 @dataclass(frozen=True)
@@ -408,14 +387,16 @@ class DispersionCoefficients:
     sigma_min: float
 
 
-def dispersion_coefficients(z: complex, k, mu: float, J=None,
-                            grid: SphereGrid | None = None) -> DispersionCoefficients:
+def dispersion_coefficients(z: complex, k, mu: float,
+                            J=None) -> DispersionCoefficients:
     """Evaluate (a, b, bbar, A, h) at a single (z, k).
 
     Raises SingularOperatorError when Id - mu A is numerically singular
     (the elimination of J~ is then meaningless).
     """
-    out = _coefficient_batch(np.array([z]), k, mu, J, grid)
+    k = np.asarray(k, dtype=float)
+    out = _coefficient_batch(np.array([z]), k, mu,
+                             _check_equilibrium(mu, J, k.size))
     sigma = float(out["sigma_min"][0])
     if not sigma > 1e-12:
         raise SingularOperatorError(
@@ -600,10 +581,24 @@ class SweepResult:
     argmin_sigma: tuple
 
 
+def _sweep(mu: float, J, z_values, k_vectors):
+    """(z, k, Re h, sigma_min) over the product of z_values and the rows of
+    k_vectors; Re h and sigma_min have shape (nk, nz), k-major."""
+    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
+    k = np.atleast_2d(np.asarray(k_vectors, dtype=float))
+    J = _check_equilibrium(mu, J, k.shape[1])
+    re_h = np.empty((k.shape[0], z.size))
+    sig = np.empty_like(re_h)
+    for i, kv in enumerate(k):
+        out = _coefficient_batch(z, kv, mu, J)
+        re_h[i] = out["h"].real
+        sig[i] = out["sigma_min"]
+    return z, k, re_h, sig
+
+
 def dispersion_sweep(mu: float, gamma: float, d: int = 2, *, J=None,
                      z_values=None, k_vectors=None, k_max: float | None = None,
-                     delta: float = DEFAULT_DELTA,
-                     grid: SphereGrid | None = None) -> SweepResult:
+                     delta: float = DEFAULT_DELTA) -> SweepResult:
     """Evaluate h and sigma_min(Id - mu A) over the standard region.
 
     Defaults reproduce the certification sweep: z on the step-0.25 rectangle
@@ -611,26 +606,20 @@ def dispersion_sweep(mu: float, gamma: float, d: int = 2, *, J=None,
     """
     if z_values is None:
         z_values = default_z_grid(delta=delta)
-    z_values = np.asarray(z_values, dtype=complex)
     if k_vectors is None:
         k_vectors = lattice_wavenumbers(gamma, 5.0 * gamma if k_max is None else k_max)
-    k_vectors = np.asarray(k_vectors, dtype=float)
-    nk = k_vectors.shape[0]
-    re_h = np.empty((nk, z_values.size))
-    sig = np.empty((nk, z_values.size))
-    for i in range(nk):
-        out = _coefficient_batch(z_values, k_vectors[i], mu, J, grid, d=d)
-        re_h[i] = out["h"].real
-        sig[i] = out["sigma_min"]
+    if np.shape(k_vectors)[-1] != d:
+        raise ValueError(f"wavenumbers must have {d} components")
+    z, k, re_h, sig = _sweep(mu, J, z_values, k_vectors)
     ih = np.unravel_index(np.argmin(re_h), re_h.shape)
     isg = np.unravel_index(np.argmin(sig), sig.shape)
     return SweepResult(
-        mu=float(mu), gamma=float(gamma), d=d, z_values=z_values,
-        k_vectors=k_vectors, re_h=re_h, sigma_min=sig,
+        mu=float(mu), gamma=float(gamma), d=d, z_values=z, k_vectors=k,
+        re_h=re_h, sigma_min=sig,
         min_re_h=float(re_h[ih]), min_sigma=float(sig[isg]),
         max_inv_norm=float(1.0 / sig[isg]),
-        argmin_h=(complex(z_values[ih[1]]), k_vectors[ih[0]].copy()),
-        argmin_sigma=(complex(z_values[isg[1]]), k_vectors[isg[0]].copy()))
+        argmin_h=(complex(z[ih[1]]), k[ih[0]].copy()),
+        argmin_sigma=(complex(z[isg[1]]), k[isg[0]].copy()))
 
 
 @dataclass(frozen=True)
@@ -651,31 +640,20 @@ class InvertibilityReport:
 
 
 def invertibility_sweep(mu: float, J, z_values, k_vectors,
-                        grid: SphereGrid | None = None,
                         singular_tol: float = 1e-10) -> InvertibilityReport:
     """Check Id - mu A over a (z, k) product set.
 
-    Points with sigma_min <= singular_tol are collected as singular.
+    Points with sigma_min <= singular_tol are collected as singular, k-major.
     """
-    z_values = np.asarray(z_values, dtype=complex)
-    k_vectors = np.atleast_2d(np.asarray(k_vectors, dtype=float))
-    d = k_vectors.shape[1]
-    best = math.inf
-    arg = None
-    bad = []
-    for k in k_vectors:
-        out = _coefficient_batch(z_values, k, mu, J, grid, d=d)
-        sig = out["sigma_min"]
-        j = int(np.argmin(sig))
-        if sig[j] < best:
-            best = float(sig[j])
-            arg = (complex(z_values[j]), k.copy())
-        for jj in np.nonzero(sig <= singular_tol)[0]:
-            bad.append((complex(z_values[jj]), k.copy()))
-    return InvertibilityReport(mu=float(mu), d=d,
-                               n_points=int(z_values.size * k_vectors.shape[0]),
+    z, k, _, sig = _sweep(mu, J, z_values, k_vectors)
+    ik, iz = np.unravel_index(np.argmin(sig), sig.shape)
+    best = float(sig[ik, iz])
+    bad = tuple((complex(z[j]), k[i].copy())
+                for i, j in zip(*np.nonzero(sig <= singular_tol)))
+    return InvertibilityReport(mu=float(mu), d=k.shape[1], n_points=sig.size,
                                min_singular=best, max_inv_norm=1.0 / best,
-                               argmin=arg, singular_points=tuple(bad))
+                               argmin=(complex(z[iz]), k[ik].copy()),
+                               singular_points=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -696,56 +674,49 @@ class FLSolution:
 
 def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
              grid: SphereGrid | None = None) -> FLSolution:
-    """Solve the transformed moment system for data f0_hat on the grid.
+    """Solve the transformed moment system for data f0_hat on the circle.
 
     Args:
         z: Laplace variable, Re z > -1, away from dispersion roots.
-        k: wavenumber vector.
+        k: wavenumber vector of shape (2,); only d = 2 is implemented.
         mu, J: background equilibrium.
         f0_hat: complex nodal values of the transformed initial datum.
-        grid: sphere grid carrying f0_hat; defaults to a uniform circle grid
-            matching len(f0_hat) for d = 2.
+        grid: uniform circle grid carrying f0_hat; defaults to the one
+            matching len(f0_hat).
 
     Raises SingularSymbolError when h(z, k) = 0 (z is a dispersion root) and
     SingularOperatorError when Id - mu A is singular.
 
-    The returned moments are exact (independent of the grid resolution for
-    d = 2); the nodal values f_tilde are pointwise exact as well, but
-    quadrature of f_tilde on the same grid converges only like the resolvent
+    The returned moments are exact (independent of the grid resolution); the
+    nodal values f_tilde are pointwise exact as well, but quadrature of
+    f_tilde on the same grid converges only like the resolvent
     tail |k|/( |k| + 1 + Re z ) to the power n/2, so recovering moments from
     f_tilde at large |k| needs a finer grid than representing the datum does.
     """
     k = np.asarray(k, dtype=float)
-    d = k.size
+    if k.shape != (2,):
+        raise ValueError(f"fl_solve is implemented for d = 2 only, got k of "
+                         f"shape {k.shape}")
     f0_hat = np.asarray(f0_hat, dtype=complex)
     if grid is None:
-        if d != 2:
-            raise ValueError("an explicit grid is required for d != 2")
         grid = build_sphere_grid(2, f0_hat.size)
+    if grid.angles is None:
+        raise ValueError("d = 2 requires a uniform circle grid")
     if f0_hat.shape != (grid.n,):
         raise ValueError("f0_hat must be nodal data on the grid")
-    J = _check_equilibrium(mu, J, d)
+    J = _check_equilibrium(mu, J, 2)
 
     zs = np.array([z], dtype=complex)
-    if d == 2:
-        if grid.angles is None:
-            raise ValueError("d = 2 requires a uniform circle grid")
-        out = _batch_2d(zs, k, mu, J)
-        b = float(np.linalg.norm(k))
-        alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
-        rcols = np.stack([f0_hat, grid.nodes[:, 0] * f0_hat,
-                          grid.nodes[:, 1] * f0_hat])
-        # nodal data enters through its discrete Fourier coefficients, i.e.
-        # the exact integral of its trigonometric interpolant
-        rhat = np.fft.fft(rcols, axis=1) / grid.n
-        R = _kernel_sums(rhat, zs, b, shift=alpha)[0]
-        r_rho, r_J = complex(R[0]), np.array(R[1:3])
-    else:
-        out = _batch_grid(zs, k, mu, J, grid)
-        den_nodes = 1.0 + z + 1j * (grid.nodes @ k)
-        wf = grid.weights * f0_hat / den_nodes
-        r_rho = complex(wf.sum())
-        r_J = wf @ grid.nodes
+    out = _coefficient_batch(zs, k, mu, J)
+    b = float(np.linalg.norm(k))
+    alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
+    rcols = np.stack([f0_hat, grid.nodes[:, 0] * f0_hat,
+                      grid.nodes[:, 1] * f0_hat])
+    # nodal data enters through its discrete Fourier coefficients, i.e. the
+    # exact integral of its trigonometric interpolant
+    rhat = np.fft.fft(rcols, axis=1) / grid.n
+    R = _kernel_sums(rhat, zs, b, shift=alpha)[0]
+    r_rho, r_J = complex(R[0]), np.array(R[1:3])
     a = complex(out["a"][0])
     bvec = out["b"][0]
     bbar = out["b_bar"][0]
@@ -760,7 +731,7 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
         raise SingularSymbolError(
             f"h(z, k) = {h:.3e}: z is a dispersion root", z=complex(z), k=k)
 
-    Mop = np.eye(d) - mu * A
+    Mop = np.eye(2) - mu * A
     rho_t = complex((r_rho + mu * bbar @ np.linalg.solve(Mop, r_J)) / h)
     J_t = np.linalg.solve(Mop, bvec * rho_t + r_J)
 
@@ -816,8 +787,7 @@ def _newton_roots(fun, seeds: np.ndarray, *, kmag: float, delta: float,
 
 def abscissa_candidates(mu: float, gamma: float, d: int = 2,
                         k_max: float | None = None, *,
-                        delta: float = DEFAULT_DELTA,
-                        grid: SphereGrid | None = None) -> dict:
+                        delta: float = DEFAULT_DELTA) -> dict:
     """Decay-rate candidates of the linearized dynamics.
 
     k = 0: the nonzero eigenvalues of the flux relaxation matrix (for mu > d
@@ -828,13 +798,8 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
     """
     if k_max is None:
         k_max = 3.0 * gamma
-    cands: list[float] = [-1.0]
-    if mu > d:
-        cands.append(lambda_J(mu, d))
-        J = solve_L(mu, d) * np.eye(d)[0]
-    else:
-        cands.append(mu / d - 1.0)
-        J = np.zeros(d)
+    cands: list[float] = [-1.0, lambda_J(mu, d) if mu > d else mu / d - 1.0]
+    J = project_to_manifold(mu, np.eye(d)[0])
     roots: list[complex] = []
     for k in lattice_wavenumbers(gamma, k_max):
         kmag = float(np.linalg.norm(k))
@@ -842,7 +807,7 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
         im = np.arange(-(kmag + 2.0), kmag + 2.0 + 1e-9, 0.25)
         seeds = (re[:, None] + 1j * im[None, :]).ravel()
         for key in ("h", "det"):
-            fun = lambda zz, key=key: _coefficient_batch(zz, k, mu, J, grid, d=d)[key]
+            fun = lambda zz, key=key: _coefficient_batch(zz, k, mu, J)[key]
             found = _newton_roots(fun, seeds, kmag=kmag, delta=delta)
             roots.extend(complex(r) for r in found)
     cands.extend(r.real for r in roots)
@@ -853,8 +818,6 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
 
 def spectral_abscissa(mu: float, gamma: float, d: int = 2,
                       k_max: float | None = None, *,
-                      delta: float = DEFAULT_DELTA,
-                      grid: SphereGrid | None = None) -> float:
+                      delta: float = DEFAULT_DELTA) -> float:
     """Predicted slowest decay rate -max Re of the candidate spectrum."""
-    return float(abscissa_candidates(mu, gamma, d, k_max, delta=delta,
-                                     grid=grid)["rate"])
+    return float(abscissa_candidates(mu, gamma, d, k_max, delta=delta)["rate"])

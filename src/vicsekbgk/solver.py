@@ -63,9 +63,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from .equilibria import solve_L
+from .equilibria import _c_over_r, project_to_manifold, solve_L
 from .linstab import flux_relaxation_matrix
 from .sphere import SphereGrid, build_sphere_grid, von_mises, von_mises_gradient
 
@@ -225,9 +224,7 @@ def validate(config: SolverConfig) -> None:
 
 
 def _equilibrium_flux(mu: float, angle: float) -> np.ndarray:
-    if mu <= 2.0:
-        return np.zeros(2)
-    return solve_L(mu, 2) * np.array([math.cos(angle), math.sin(angle)])
+    return project_to_manifold(mu, np.array([math.cos(angle), math.sin(angle)]))
 
 
 def equilibrium_flux(config: SolverConfig) -> np.ndarray:
@@ -283,7 +280,7 @@ class _Workspace:
             self.keep = ((m[:, None] <= cut)
                          & (m[None, : nx // 2 + 1] <= cut))[..., None]
         self.mu = mu
-        self.jcap = 1.0 / eps_reg if mode == "regularized" else None
+        self.eps_reg = eps_reg if mode == "regularized" else None
         self.Jeq = _equilibrium_flux(mu, jeq_angle)
         self.Meq = von_mises(self.Jeq, self.grid)
         if mode == "linearized":
@@ -321,28 +318,16 @@ def regularized_flux(J: np.ndarray, eps: float) -> np.ndarray:
     return J * fac
 
 
-def _c_over_r(r: np.ndarray) -> np.ndarray:
-    """c(r)/r for the circle, i.e. I1(r)/(r I0(r)), stable as r -> 0."""
-    small = r < 1e-6
-    rs = np.where(small, 1.0, r)
-    return np.where(small, 0.5 - r * r / 16.0,
-                    special.i1e(rs) / (rs * special.i0e(rs)))
-
-
 def _collide(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
     """Exact relaxation over a substep of span h (nonlinear/regularized),
     on the half-spectrum S."""
     rho, Jx, Jy = np.fft.irfft2(_moments(S, ws.weights), s=ws.shape, axes=(1, 2))
     r = np.hypot(Jx, Jy)
     sfac = rho * _c_over_r(r) - 1.0
-    Jsx = Jx + 0.5 * h * sfac * Jx
-    Jsy = Jy + 0.5 * h * sfac * Jy
-    if ws.jcap is not None:
-        rs = np.hypot(Jsx, Jsy)
-        shrink = np.where(rs > ws.jcap, ws.jcap / np.where(rs > 0, rs, 1.0), 1.0)
-        Jsx = Jsx * shrink
-        Jsy = Jsy * shrink
-    E = von_mises(np.stack([Jsx, Jsy], axis=-1), ws.grid)
+    Js = np.stack([Jx + 0.5 * h * sfac * Jx, Jy + 0.5 * h * sfac * Jy], axis=-1)
+    if ws.eps_reg is not None:
+        Js = regularized_flux(Js, ws.eps_reg)
+    E = von_mises(Js, ws.grid)
     E *= rho[..., None]
     target = np.fft.rfft2(E, axes=(0, 1))
     decay = math.exp(-h)

@@ -529,3 +529,103 @@ def test_coefficient_batches_transform_columns_once(monkeypatch):
         linstab._coefficient_batch(zs, (10.0 * (1 + i % 5), 10.0), mu, J)
     assert len(calls) <= 1
     assert not linstab._column_spectrum(tuple(J)).flags.writeable
+
+
+def _fourier_columns_2d_bessel(J):
+    """linstab._fourier_columns_2d as it was before the one column builder:
+    the gradient's mean direction c(|J|) J/|J| comes from the Bessel ratio,
+    not from quadrature on the grid."""
+    L = float(np.linalg.norm(J))
+    n = 256
+    while n < 8 * L + 64:
+        n *= 2
+    theta = 2.0 * np.pi * np.arange(n) / n
+    w1 = np.cos(theta)
+    w2 = np.sin(theta)
+    M = von_mises(J, linstab.SphereGrid(2, np.stack([w1, w2], axis=1),
+                                        np.full(n, 2.0 * np.pi / n), theta))
+    e1, e2 = float(linstab.order_parameter(L, 2)) * J / L if L > 0 else (0.0, 0.0)
+    G1 = (w1 - e1) * M
+    G2 = (w2 - e2) * M
+    return np.stack([M, w1 * M, w2 * M, G1, G2,
+                     w1 * G1, w1 * G2, w2 * G1, w2 * G2])
+
+
+@pytest.mark.parametrize("mu,angle,tol", [(1.5, 0.0, 0.0), (2.2, 0.0, 0.0),
+                                          (2.5, 0.7, 1e-15), (3.0, -2.0, 1e-15)])
+def test_fourier_columns_match_bessel_ratio_oracle(mu, angle, tol):
+    J = solve_L(mu, 2) * np.array([math.cos(angle), math.sin(angle)])
+    got = linstab._fourier_columns_2d(J)
+    want = _fourier_columns_2d_bessel(J)
+    assert got.shape == want.shape
+    if tol == 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def _invertibility_loop(mu, J, z_values, k_vectors, singular_tol=1e-10):
+    """invertibility_sweep as it was: one loop over k that keeps the first
+    strict minimum and collects singular points k-major."""
+    z_values = np.asarray(z_values, dtype=complex)
+    k_vectors = np.atleast_2d(np.asarray(k_vectors, dtype=float))
+    J = np.zeros(2) if J is None else np.asarray(J, dtype=float)
+    best, arg, bad = math.inf, None, []
+    for k in k_vectors:
+        sig = linstab._coefficient_batch(z_values, k, mu, J)["sigma_min"]
+        j = int(np.argmin(sig))
+        if sig[j] < best:
+            best = float(sig[j])
+            arg = (complex(z_values[j]), k.copy())
+        for jj in np.nonzero(sig <= singular_tol)[0]:
+            bad.append((complex(z_values[jj]), k.copy()))
+    return best, arg, bad
+
+
+@pytest.mark.parametrize("zs,ks,tol,n_singular", [
+    # z = -0.5, k = 0 is singular at mu = 1; with tol = 1e-2 the points near
+    # it at z + 1e-3 i and k = (0, 1e-3) join, so k-major order is tested
+    ([0.3 + 1.0j, -0.5, 0.1 - 2.0j, -0.5 + 1e-3j],
+     [[10.0, 0.0], [0.0, 0.0], [10.0, 10.0], [0.0, 1e-3]], 1e-2, 4),
+    ([0.3 + 1.0j, -0.5, 0.1 - 2.0j, -0.5 + 1e-3j],
+     [[10.0, 0.0], [0.0, 0.0], [10.0, 10.0], [0.0, 1e-3]], 1e-10, 1),
+    # sigma_min at k = 0 is tied between z and conj(z): the first one wins
+    ([0.2, -0.5 + 0.1j, 1.0, -0.5 - 0.1j], [[10.0, 0.0], [0.0, 0.0]], 1e-10, 0),
+])
+def test_invertibility_sweep_matches_loop_oracle(zs, ks, tol, n_singular):
+    report = invertibility_sweep(1.0, None, zs, ks, singular_tol=tol)
+    best, arg, bad = _invertibility_loop(1.0, None, zs, ks, singular_tol=tol)
+    assert report.min_singular == best
+    assert report.argmin[0] == arg[0] and np.array_equal(report.argmin[1], arg[1])
+    assert len(report.singular_points) == len(bad) == n_singular
+    for (z1, k1), (z2, k2) in zip(report.singular_points, bad):
+        assert z1 == z2 and np.array_equal(k1, k2)
+    assert report.invertible == (n_singular == 0)
+
+
+def test_sweeps_check_the_equilibrium_once(monkeypatch):
+    calls = []
+    check = linstab._check_equilibrium
+
+    def counting(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(linstab, "_check_equilibrium", counting)
+    zs = default_z_grid(im_max=2.0, step=0.5)
+    dispersion_sweep(1.5, 10.0, z_values=zs, k_max=30.0)
+    invertibility_sweep(1.5, None, zs, lattice_wavenumbers(10.0, 30.0))
+    assert len(calls) == 2
+
+
+def test_fl_solve_rejects_3d_wavenumber():
+    grid = build_sphere_grid(2, 64)
+    with pytest.raises(ValueError):
+        fl_solve(0.3, np.array([0.0, 0.0, 10.0]), 1.0, None,
+                 np.ones(grid.n, dtype=complex), grid)
+
+
+def test_dispersion_sweep_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        dispersion_sweep(1.0, 10.0, d=3, z_values=default_z_grid(im_max=1.0),
+                         k_max=10.0)
