@@ -20,7 +20,8 @@ module checks only the keys that never reach the solver (fit windows, sweep
 controls).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
-atomically, so its presence marks a completed run.
+atomically.  A run that fails before writing any artifact (exit 1) still
+writes a manifest, with no outputs and the error and its type as summary.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -277,6 +278,11 @@ def validate_config(experiment: str, c: dict) -> None:
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
+
+def _file_times(outdir: str) -> dict:
+    """Modification time of each entry of outdir, by name."""
+    return {e.name: e.stat().st_mtime_ns for e in os.scandir(outdir)}
+
 
 def _write_manifest(outdir: str, experiment: str, config: dict,
                     outputs: list[str], summary: dict, t0: float) -> str:
@@ -545,15 +551,19 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
+    before = _file_times(outdir)
     try:
         outputs, summary = _RUNNERS[experiment](config, outdir)
-    except SolverAbort as exc:
-        _write_manifest(outdir, experiment, config, [],
-                        {"error": str(exc), "last_valid_time": exc.t}, t0)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        # a run that failed before writing any artifact records the failure
+        # in its manifest; one that failed after (a fit over the written
+        # series) leaves its artifacts without one, as an unfinished run
+        if _file_times(outdir).items() <= before.items():
+            summary = {"error": str(exc), "error_type": type(exc).__name__}
+            if isinstance(exc, SolverAbort):
+                summary["last_valid_time"] = exc.t
+            _write_manifest(outdir, experiment, config, [], summary, t0)
         return 1
     manifest_path = _write_manifest(outdir, experiment, config,
                                     [os.path.basename(p) for p in outputs],

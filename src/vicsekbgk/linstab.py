@@ -26,6 +26,16 @@ Mises factors have superexponentially decaying Fourier coefficients, so the
 integrals are short geometric contractions instead of quadratures whose node
 count would have to grow like |k|.  For d = 3 grid quadrature is used on a
 grid built to resolve both |J| and |k|.
+
+The spectral abscissa (d = 2) counts before it locates.  Multiplying h by
+det gives the division-free D = (1 - a) det - mu bbar^T adj(Id - mu A) b,
+whose zeros together with those of det are the zeros of h and det.  Both
+are analytic in Re z > -1 and tend to 1 like the coefficients,
+O(1/|1 + z|), so bounds on the coefficients give a rectangle right of
+-delta outside which neither vanishes.  The argument principle counts the
+zeros inside, on a contour refined until a derivative bound certifies each
+step; Newton then locates exactly that many (Delves & Lyness, Math. Comp.
+21 (1967) 543; Kravanja & Van Barel, LNM 1727 (2000)).
 """
 from __future__ import annotations
 
@@ -297,12 +307,17 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
     return 2.0 * np.pi * powers.T @ sym.T
 
 
-def _batch_2d(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
-    """Coefficient batch for d = 2 via the exact kernel expansion."""
+def _integrals_2d(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The equilibrium columns integrated against the kernel at a batch of z
+    for one k (d = 2, exact kernel expansion); one row per z."""
     b = float(np.linalg.norm(k))
     alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
-    T = _kernel_sums(_column_spectrum(tuple(map(float, J))), zs, b, shift=alpha)
-    return _assemble(T, mu, 2)
+    return _kernel_sums(_column_spectrum(tuple(map(float, J))), zs, b, shift=alpha)
+
+
+def _batch_2d(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
+    """Coefficient batch for d = 2 via the exact kernel expansion."""
+    return _assemble(_integrals_2d(zs, k, J), mu, 2)
 
 
 def _batch_grid(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
@@ -322,22 +337,32 @@ def _batch_grid(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict
     return _assemble(T, mu, d)
 
 
+def _split(T: np.ndarray, d: int):
+    """(a, b, bbar, A) from the integrated columns T (rows of
+    ``_equilibrium_columns``, one row of T per z)."""
+    return (T[:, 0], T[:, 1:1 + d], T[:, 1 + d:1 + 2 * d],
+            T[:, 1 + 2 * d:].reshape(-1, d, d))
+
+
+def _det_adjugate_2d(Mop: np.ndarray, bvec: np.ndarray):
+    """det(Mop) and adj(Mop) b for a batch of 2 x 2 matrices."""
+    det = Mop[:, 0, 0] * Mop[:, 1, 1] - Mop[:, 0, 1] * Mop[:, 1, 0]
+    adjb = np.empty_like(bvec)
+    adjb[:, 0] = Mop[:, 1, 1] * bvec[:, 0] - Mop[:, 0, 1] * bvec[:, 1]
+    adjb[:, 1] = -Mop[:, 1, 0] * bvec[:, 0] + Mop[:, 0, 0] * bvec[:, 1]
+    return det, adjb
+
+
 def _assemble(T: np.ndarray, mu: float, d: int) -> dict:
-    """Split the integrated columns T (rows of ``_equilibrium_columns``, one
-    row of T per z) into (a, b, bbar, A), eliminate J~ and add
-    (h, det, sigma_min)."""
-    a = T[:, 0]
-    bvec = T[:, 1:1 + d]
-    bbar = T[:, 1 + d:1 + 2 * d]
-    A = T[:, 1 + 2 * d:].reshape(-1, d, d)
+    """Split the integrated columns T into (a, b, bbar, A), eliminate J~ and
+    add (h, det, sigma_min)."""
+    a, bvec, bbar, A = _split(T, d)
     eye = np.eye(d)
     Mop = eye[None, :, :] - mu * A
     if d == 2:
-        det = Mop[:, 0, 0] * Mop[:, 1, 1] - Mop[:, 0, 1] * Mop[:, 1, 0]
         # X = (Id - mu A)^{-1} b via the 2x2 adjugate
-        X = np.empty_like(bvec)
-        X[:, 0] = (Mop[:, 1, 1] * bvec[:, 0] - Mop[:, 0, 1] * bvec[:, 1]) / det
-        X[:, 1] = (-Mop[:, 1, 0] * bvec[:, 0] + Mop[:, 0, 0] * bvec[:, 1]) / det
+        det, X = _det_adjugate_2d(Mop, bvec)
+        X /= det[:, None]
         frob2 = np.abs(Mop).reshape(-1, 4) ** 2
         Tr = frob2.sum(axis=1)
         D = np.abs(det) ** 2
@@ -751,38 +776,167 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
 # spectral abscissa prediction
 # ---------------------------------------------------------------------------
 
-def _newton_roots(fun, seeds: np.ndarray, *, kmag: float, delta: float,
-                  tol: float = 1e-11, maxiter: int = 40) -> np.ndarray:
-    """Damped Newton iteration from a batch of seeds; deduplicated roots."""
-    z = seeds.astype(complex)
-    re_lo, re_hi = -0.9, 2.5
-    im_hi = kmag + 5.0
-    for _ in range(maxiter):
-        inb = (z.real > re_lo) & (z.real < re_hi) & (np.abs(z.imag) < im_hi)
-        z = z[inb]
-        if z.size == 0:
+# z values per kernel-sum call: bounds the (n/2 + 1, chunk) power table
+_CHUNK = 256
+# the two counted functions, in the row order of ``_symbols``
+_SYMBOLS = ("D", "det")
+
+
+def _symbols(zs: np.ndarray, k: np.ndarray, mu: float,
+             J: np.ndarray) -> np.ndarray:
+    """(D, det) at a batch of z for one k (d = 2), shape (2, nz).
+
+    det = det(Id - mu A) and D = (1 - a) det - mu bbar^T adj(Id - mu A) b
+    = h det.  Neither divides, so both stay finite where det = 0.
+    """
+    out = np.empty((2, zs.size), dtype=complex)
+    for start in range(0, zs.size, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        a, bvec, bbar, A = _split(_integrals_2d(zs[sl], k, J), 2)
+        det, adjb = _det_adjugate_2d(np.eye(2)[None] - mu * A, bvec)
+        out[0, sl] = (1.0 - a) * det - mu * np.einsum("ij,ij->i", bbar, adjb)
+        out[1, sl] = det
+    return out
+
+
+def _majorant(mu: float, J: np.ndarray) -> np.ndarray:
+    """Coefficients p (p_0 = 1, p_m >= 0) of a polynomial with
+    |f - 1| <= sum_{m>=1} p_m beta^m and |f'| <= sum_m m p_m beta^(m+1)
+    for f = D and f = det, where beta = 1/ell and ell is any lower bound of
+    |1 + z + i k.omega| over the circle.
+
+    Each coefficient is Int g / (1 + z + i k.omega) for a column g, so it is
+    at most ||g||_1 beta and its z-derivative at most ||g||_1 beta^2; D and
+    det are polynomials in the coefficients with constant term 1.  The L1
+    norms are trapezoid sums of |g| (error O(n^-2) at the kinks of |g|),
+    raised by 1% to cover that.
+    """
+    cols = _fourier_columns_2d(J)
+    norm = 1.01 * (2.0 * np.pi / cols.shape[1]) * np.abs(cols).sum(axis=1)
+    na, u, t, s = norm[0], norm[1:3], norm[3:5], norm[5:9]
+    poly = np.polynomial.polynomial
+    pdet = [1.0, mu * (s[0] + s[3]), mu * mu * (s[0] * s[3] + s[1] * s[2])]
+    # bbar^T adj(Id - mu A) b, adj = [[1 - mu A11, mu A01], [mu A10, 1 - mu A00]]
+    cross = [0.0, 0.0, mu * (t[0] * u[0] + t[1] * u[1]),
+             mu * mu * (t[0] * (s[3] * u[0] + s[1] * u[1])
+                        + t[1] * (s[2] * u[0] + s[0] * u[1]))]
+    return poly.polyadd(poly.polymul([1.0, na], pdet), cross)
+
+
+def _count_zeros(mu: float, k: np.ndarray, J: np.ndarray, p: np.ndarray,
+                 box: tuple) -> tuple:
+    """Zeros of D and det inside the rectangle box = (re_lo, re_hi, im_hi)
+    by the argument principle.
+
+    Samples both functions on the rectangle's boundary and bisects each
+    segment until, for both, (i) L h / 2 < min |f| at its ends, with h its
+    length and L the derivative bound of ``_majorant`` at the segment's
+    distance from the kernel's singular segment, so that f has no zero on the
+    segment and turns by less than pi across it, and (ii) the sampled angle
+    increment is below pi/4.  The winding numbers are then exact.
+
+    Returns (counts, min |f| on the contour, number of contour points).
+    Raises RuntimeError when a zero lies on the contour to within 1e-12.
+    """
+    re_lo, re_hi, im_hi = box
+    kmag = float(np.linalg.norm(k))
+    dp = np.arange(1, p.size) * p[1:]       # L(beta) = beta^2 sum m p_m beta^(m-1)
+    corners = [complex(re_lo, -im_hi), complex(re_hi, -im_hi),
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    z = np.concatenate([c0 + (c1 - c0) * np.arange(m) / m
+                        for c0, c1 in zip(corners, corners[1:] + corners[:1])
+                        for m in [max(1, math.ceil(2.0 * abs(c1 - c0)))]])
+    f = _symbols(z, k, mu, J)
+    while True:
+        z1, f1 = np.roll(z, -1), np.roll(f, -1, axis=1)
+        h = np.abs(z1 - z)
+        # the sides are axis-parallel, so the point of a segment closest to
+        # the singular segment {-1 + it : |t| <= |k|} is found from its ends
+        x = np.minimum(z.real, z1.real)
+        y = np.where(z.imag * z1.imag <= 0.0, 0.0,
+                     np.minimum(np.abs(z.imag), np.abs(z1.imag)))
+        beta = 1.0 / np.hypot(1.0 + x, np.maximum(y - kmag, 0.0))
+        lip = beta * beta * np.polynomial.polynomial.polyval(beta, dp)
+        fmin = np.minimum(np.abs(f), np.abs(f1)).min(axis=0)
+        turn = np.angle(f1 * f.conj())
+        bad = np.nonzero((0.5 * lip * h >= fmin)
+                         | (np.abs(turn).max(axis=0) >= 0.25 * np.pi))[0]
+        if bad.size == 0:
             break
-        f = fun(z)
-        done = np.abs(f) <= tol
+        if np.any(h[bad] < 1e-12):
+            j = bad[np.argmin(h[bad])]
+            raise RuntimeError(f"a zero of D or det lies on the contour near "
+                               f"z = {complex(z[j]):.6g}, k = {k}")
+        zm = 0.5 * (z[bad] + z1[bad])
+        z = np.insert(z, bad + 1, zm)
+        f = np.insert(f, bad + 1, _symbols(zm, k, mu, J), axis=1)
+    wind = turn.sum(axis=1) / (2.0 * np.pi)
+    return np.rint(wind).astype(int), np.abs(f).min(axis=1), z.size
+
+
+def _deflation(z: np.ndarray, roots: list) -> np.ndarray:
+    """prod_j (z - roots_j): dividing by it removes the known zeros."""
+    return np.prod(z[None, :] - np.array(roots, dtype=complex)[:, None], axis=0)
+
+
+def _newton(fun, z: np.ndarray, box: tuple, roots: list, tol: float = 1e-11,
+            maxiter: int = 40) -> np.ndarray:
+    """Damped Newton iteration on fun deflated by roots, from a batch of
+    seeds, kept inside box; returns the iterates with |fun| <= tol."""
+    re_lo, re_hi, im_hi = box
+    for _ in range(maxiter):
         dz = 1e-6 * (1.0 + np.abs(z))
-        fp = (fun(z + dz) - fun(z - dz)) / (2.0 * dz)
-        fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
-        step = f / fp
+        zz = np.concatenate([z, z + dz, z - dz])
+        f = fun(zz)
+        done = np.abs(f[:z.size]) <= tol
+        if done.all():
+            break
+        g, gplus, gminus = (f / _deflation(zz, roots)).reshape(3, -1)
+        gp = (gplus - gminus) / (2.0 * dz)
+        gp = np.where(np.abs(gp) < 1e-300, 1e-300, gp)
+        step = g / gp
         mag = np.abs(step)
         step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 1e-300)), step)
         z = np.where(done, z, z - step)
-        if done.all():
-            break
-    z = z[(z.real > re_lo) & (z.real < re_hi) & (np.abs(z.imag) < im_hi)]
-    f = fun(z) if z.size else np.zeros(0, dtype=complex)
-    good = z[(np.abs(f) <= tol) & (z.real >= -delta - 1e-9)]
-    if good.size == 0:
-        return good
+        z = np.clip(z.real, re_lo, re_hi) + 1j * np.clip(z.imag, -im_hi, im_hi)
+    return z[np.abs(fun(z)) <= tol]
+
+
+def _locate(fun, count: int, box: tuple) -> list:
+    """The count distinct zeros of fun inside box = (re_lo, re_hi, im_hi).
+
+    By the minimum modulus principle the local minima of |f| on a grid over
+    the box sit near zeros.  Each round seeds Newton at the local minima of
+    f deflated by the zeros already found, so that it converges to new
+    ones; a round that finds none halves the grid spacing, from 1/4 down to
+    1/32.  Raises RuntimeError when the count is not reached.
+    """
+    re_lo, re_hi, im_hi = box
     roots: list[complex] = []
-    for r in sorted(good, key=lambda c: (c.real, c.imag)):
-        if all(abs(r - s) > 1e-6 for s in roots):
-            roots.append(complex(r))
-    return np.array(roots)
+    new, step = 0, 0.25
+    while len(roots) < count:
+        if new == 0:                 # the first round, or a fruitless one
+            if step < 1.0 / 32.0:
+                break
+            re = np.linspace(re_lo, re_hi, 2 + math.ceil((re_hi - re_lo) / step))
+            im = np.linspace(-im_hi, im_hi, 2 + math.ceil(2.0 * im_hi / step))
+            scan = (re[:, None] + 1j * im[None, :]).ravel()
+            fscan = fun(scan)
+            step /= 2.0
+        g = np.abs(fscan / _deflation(scan, roots)).reshape(re.size, im.size)
+        pad = np.pad(g, 1, constant_values=np.inf)
+        minima = np.ones(g.shape, dtype=bool)
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+            minima &= g <= pad[i:i + g.shape[0], j:j + g.shape[1]]
+        seeds = scan[minima.ravel()][np.argsort(g[minima])]
+        new = 0
+        for r in _newton(fun, seeds, box, roots):
+            if all(abs(r - s) > 1e-6 for s in roots):
+                roots.append(complex(r))
+                new += 1
+    if len(roots) != count:
+        raise RuntimeError(f"located {len(roots)} of {count} counted zeros")
+    return roots
 
 
 def abscissa_candidates(mu: float, gamma: float, d: int = 2,
@@ -792,27 +946,66 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
 
     k = 0: the nonzero eigenvalues of the flux relaxation matrix (for mu > d
     the zero eigenvalues along J-perp are conserved directions, not decay
-    rates) and the -1 relaxation of the moment-free remainder.  k != 0: real
-    parts of the roots of h and of det(Id - mu A) found right of -delta by
-    Newton iteration from a coarse seed rectangle.
+    rates) and the -1 relaxation of the moment-free remainder.
+
+    k != 0 (the half lattice up to k_max): real parts of the zeros of h and
+    of det(Id - mu A) with Re z >= -delta.  They are the zeros of the
+    division-free D = h det = (1 - a) det - mu bbar^T adj(Id - mu A) b and
+    of det, both analytic in Re z > -1 and tending to 1 as |a|, |b|,
+    |A| = O(1/|1 + z|).  For each k:
+
+    1. count: ``_majorant`` bounds |f - 1| <= 1/2 outside the rectangle
+       Re z in [-delta, ell - 1], |Im z| <= |k| + ell, so every zero right of
+       -delta lies inside it; ``_count_zeros`` counts them by the argument
+       principle on a contour refined until each step is certified;
+    2. locate: ``_locate`` finds exactly that many distinct zeros by Newton
+       from a coarse scan of the rectangle (no work when the count is 0).
+
+    Returns the k = 0 rates, the located zeros ("symbol_roots"), all
+    candidates, the rate -max(candidates), and per k ("contours") the zero
+    counts, the located zeros and min |f| on the contour of D and det.
+    Only d = 2 is implemented.
     """
+    if d != 2:
+        raise ValueError(f"abscissa_candidates is implemented for d = 2 only, "
+                         f"got d = {d}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     if k_max is None:
         k_max = 3.0 * gamma
     cands: list[float] = [-1.0, lambda_J(mu, d) if mu > d else mu / d - 1.0]
     J = project_to_manifold(mu, np.eye(d)[0])
+    p = _majorant(mu, J)
+    # |f - 1| <= 1/2 wherever z is at least ell from the singular segment
+    # {-1 + it : |t| <= |k|}, ell the one positive root of
+    # sum_{m>=1} p_m ell^-m = 1/2; so every zero right of -delta is in box
+    poly = np.polynomial.polynomial
+    hi = 1.0
+    while poly.polyval(hi, p) < 1.5:
+        hi *= 2.0
+    ell = 1.0 / optimize.brentq(lambda beta: poly.polyval(beta, p) - 1.5,
+                                0.0, hi)
+    re_max = max(ell - 1.0, 0.0)
     roots: list[complex] = []
+    contours = []
     for k in lattice_wavenumbers(gamma, k_max):
-        kmag = float(np.linalg.norm(k))
-        re = np.arange(-delta, 0.5 + 1e-9, 0.25)
-        im = np.arange(-(kmag + 2.0), kmag + 2.0 + 1e-9, 0.25)
-        seeds = (re[:, None] + 1j * im[None, :]).ravel()
-        for key in ("h", "det"):
-            fun = lambda zz, key=key: _coefficient_batch(zz, k, mu, J)[key]
-            found = _newton_roots(fun, seeds, kmag=kmag, delta=delta)
-            roots.extend(complex(r) for r in found)
+        box = (-delta, re_max, float(np.linalg.norm(k)) + ell)
+        counts, margins, npts = _count_zeros(mu, k, J, p, box)
+        found = {name: [] for name in _SYMBOLS}
+        for i, name in enumerate(_SYMBOLS):
+            if counts[i]:
+                found[name] = _locate(lambda zz, i=i: _symbols(zz, k, mu, J)[i],
+                                      int(counts[i]), box)
+                roots.extend(found[name])
+        contours.append({
+            "k": k, "im_max": box[2], "points": npts,
+            "count": dict(zip(_SYMBOLS, map(int, counts))),
+            "min_abs": dict(zip(_SYMBOLS, map(float, margins))),
+            "roots": found})
     cands.extend(r.real for r in roots)
     return {"mu": float(mu), "gamma": float(gamma), "d": d, "k_max": float(k_max),
-            "delta": float(delta), "k0_rates": cands[:2], "symbol_roots": roots,
+            "delta": float(delta), "re_max": re_max,
+            "k0_rates": cands[:2], "symbol_roots": roots, "contours": contours,
             "candidates": cands, "rate": -max(cands)}
 
 

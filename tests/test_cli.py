@@ -321,3 +321,16 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "branch.csv").exists()
+
+
+def test_numerical_failure_writes_failure_manifest(tmp_path, capsys):
+    rc = cli.main(["simulate", "--set", "init.amplitude=3", "--set", "t_end=0.02",
+                   "--quiet", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "initial field is negative" in capsys.readouterr().err
+    manifest = _read_manifest(tmp_path)
+    assert manifest["summary"] == {
+        "error": "initial field is negative; reduce the amplitude",
+        "error_type": "ValueError"}
+    assert manifest["outputs"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]

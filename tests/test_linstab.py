@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -629,3 +630,90 @@ def test_dispersion_sweep_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         dispersion_sweep(1.0, 10.0, d=3, z_values=default_z_grid(im_max=1.0),
                          k_max=10.0)
+
+
+@pytest.mark.parametrize("mu, gamma, n_D, n_det, rate", [
+    (1.5, 10.0, 0, 0, 0.25),
+    (2.2, 10.0, 0, 0, 0.17595813801388),
+    (2.5, 3.0, 1, 0, -0.05279430195544164),
+    (2.2, 1.0, 7, 0, -0.1339805660898834),
+    # the det zero sits 0.003 inside the -delta edge (min |det| ~ 7e-4)
+    (2.5, 0.5, 10, 1, -0.14040290800340396),
+])
+def test_abscissa_counts_equal_located_zeros(mu, gamma, n_D, n_det, rate):
+    # rates: the damped-Newton seed scan this count replaced
+    out = abscissa_candidates(mu, gamma)
+    assert abs(out["rate"] - rate) < 1e-9
+    J = linstab.project_to_manifold(mu, np.array([1.0, 0.0]))
+    totals = {"D": 0, "det": 0}
+    for c in out["contours"]:
+        for row, name in enumerate(("D", "det")):
+            roots = np.array(c["roots"][name], dtype=complex)
+            assert roots.size == c["count"][name]
+            assert c["min_abs"][name] > 0.0
+            totals[name] += roots.size
+            if roots.size:
+                assert np.all(roots.real >= -out["delta"])
+                assert np.all(roots.real <= out["re_max"])
+                assert np.all(np.abs(roots.imag) <= c["im_max"])
+                assert np.all(np.abs(linstab._symbols(roots, c["k"], mu, J)[row])
+                              <= 1e-11)
+    assert totals == {"D": n_D, "det": n_det}
+
+
+def test_abscissa_emits_no_runtime_warning():
+    # det vanishes exactly on a Newton iterate here; D and det never divide
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        abscissa_candidates(2.5, 0.5)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("fn", [abscissa_candidates, spectral_abscissa])
+def test_abscissa_rejects_d_other_than_2_before_work(fn, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(linstab, "project_to_manifold", no_work)
+    monkeypatch.setattr(linstab, "lambda_J", no_work)
+    with pytest.raises(ValueError, match="d = 2"):
+        fn(3.5, 10.0, 3, 10.0)
+
+
+@pytest.mark.parametrize("mu", [1.5, 2.5, 3.5])
+def test_symbols_are_h_times_det_within_the_majorant(mu):
+    J = linstab.project_to_manifold(mu, np.array([1.0, 0.0]))
+    p = linstab._majorant(mu, J)
+    rng = np.random.default_rng(3)
+    for k in ([0.5, 0.0], [3.0, -4.0], [10.0, 20.0]):
+        k = np.array(k)
+        kmag = float(np.linalg.norm(k))
+        zs = rng.uniform(-0.05, 8.0, 200) + 1j * rng.uniform(-kmag - 10.0,
+                                                             kmag + 10.0, 200)
+        D, det = linstab._symbols(zs, k, mu, J)
+        out = linstab._coefficient_batch(zs, k, mu, J)
+        assert np.allclose(D, out["h"] * out["det"], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(det, out["det"])
+        # distance from z to the singular segment {-1 + it : |t| <= |k|}
+        beta = 1.0 / np.hypot(1.0 + zs.real, np.maximum(np.abs(zs.imag) - kmag, 0.0))
+        m = np.arange(p.size)
+        bound = np.polyval(p[::-1], beta) - 1.0
+        dbound = beta * np.polyval((m * p)[::-1], beta)
+        dz = 1e-6
+        fprime = (linstab._symbols(zs + dz, k, mu, J)
+                  - linstab._symbols(zs - dz, k, mu, J)) / (2 * dz)
+        for f, fp in ((D, fprime[0]), (det, fprime[1])):
+            assert np.all(np.abs(f - 1.0) <= bound)
+            assert np.all(np.abs(fp) <= dbound + 1e-8)
+
+
+@pytest.mark.parametrize("delta, n_D, n_det", [(0.0470443, 1, 0), (0.0470444, 2, 1)])
+def test_abscissa_count_resolves_a_zero_next_to_the_contour(delta, n_D, n_det):
+    # det(Id - mu A) at mu = 2.5, k = (1/2, 0) vanishes at
+    # z = -0.04704434850 - 0.17666722311i, 5e-8 from either left edge; D = h det
+    # shares that zero
+    out = abscissa_candidates(2.5, 0.5, k_max=0.5, delta=delta)
+    c = out["contours"][0]
+    assert np.array_equal(c["k"], [0.5, 0.0])
+    assert c["count"] == {"D": n_D, "det": n_det}
+    assert 0.0 < c["min_abs"]["det"] < 1e-7
