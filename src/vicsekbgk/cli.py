@@ -22,6 +22,8 @@ artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically.  A run that fails before writing any artifact (exit 1) still
 writes a manifest, with no outputs and the error and its type as summary.
+A run first deletes the directory's previous manifest, so one that fails
+after writing artifacts leaves none behind.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -551,6 +553,8 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
+    if os.path.isfile(stale := os.path.join(outdir, "manifest.json")):
+        os.remove(stale)        # it marks a completed run, not this one
     before = _file_times(outdir)
     try:
         outputs, summary = _RUNNERS[experiment](config, outdir)

@@ -25,7 +25,8 @@ w = sqrt((1+z)^2 + |k|^2), rho = -i|k|/(w + 1 + z), |rho| < 1, and the von
 Mises factors have superexponentially decaying Fourier coefficients, so the
 integrals are short geometric contractions instead of quadratures whose node
 count would have to grow like |k|.  For d = 3 grid quadrature is used on a
-grid built to resolve both |J| and |k|.
+grid built to resolve both |J| and |k|.  Both take z in chunks of a ~2 MB
+table, so a sweep's memory grows with nz only through the coefficients.
 
 The spectral abscissa (d = 2) counts before it locates.  Multiplying h by
 det gives the division-free D = (1 - a) det - mu bbar^T adj(Id - mu A) b,
@@ -304,37 +305,43 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
     powers[0] = 1.0 / w
     for j in range(1, half + 1):
         powers[j] = powers[j - 1] * rho
-    return 2.0 * np.pi * powers.T @ sym.T
+    powers *= 2.0 * np.pi            # in place, so a call holds one table
+    return powers.T @ sym.T
 
 
-def _integrals_2d(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
+# complex entries of the table one z chunk builds (~2 MB): the power table
+# for d = 2, the resolvent block for d = 3
+_TABLE = 1 << 17
+
+
+def _integrals(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
     """The equilibrium columns integrated against the kernel at a batch of z
-    for one k (d = 2, exact kernel expansion); one row per z."""
-    b = float(np.linalg.norm(k))
-    alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
-    return _kernel_sums(_column_spectrum(tuple(map(float, J))), zs, b, shift=alpha)
+    for one k; one row per z.  d = 2 uses the exact kernel expansion, d = 3
+    quadrature on a grid that resolves |J| and |k|.  The z are taken in
+    chunks whose table has at most _TABLE entries."""
+    kmag = float(np.linalg.norm(k))
+    if k.size == 2:
+        ghat = _column_spectrum(tuple(map(float, J)))
+        alpha = math.atan2(k[1], k[0]) if kmag > 0 else 0.0
+        width, ncols = ghat.shape[1] // 2 + 1, ghat.shape[0]
 
+        def block(zz):
+            return _kernel_sums(ghat, zz, kmag, shift=alpha)
+    else:
+        n = max(auto_node_count(float(np.linalg.norm(J))), math.ceil(15.0 * kmag))
+        grid = build_sphere_grid(k.size, n)
+        # complex once, not once per chunk
+        wcols = (_equilibrium_columns(J, grid) * grid.weights).T.astype(complex)
+        komega = grid.nodes @ k
+        width, ncols = wcols.shape
 
-def _batch_2d(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
-    """Coefficient batch for d = 2 via the exact kernel expansion."""
-    return _assemble(_integrals_2d(zs, k, J), mu, 2)
-
-
-def _batch_grid(zs: np.ndarray, k: np.ndarray, mu: float, J: np.ndarray) -> dict:
-    """Coefficient batch by quadrature on a grid that resolves |J| and |k|
-    (the d = 3 path)."""
-    d = k.size
-    grid = build_sphere_grid(d, max(auto_node_count(float(np.linalg.norm(J))),
-                                    int(math.ceil(15.0 * np.linalg.norm(k)))))
-    wcols = _equilibrium_columns(J, grid) * grid.weights
-    komega = grid.nodes @ k
-    T = np.empty((zs.size, wcols.shape[0]), dtype=complex)
-    chunk = 128                      # bounds the (chunk, n) resolvent block
+        def block(zz):
+            return (1.0 / (1.0 + zz[:, None] + 1j * komega[None, :])) @ wcols
+    chunk = max(1, _TABLE // width)
+    T = np.empty((zs.size, ncols), dtype=complex)
     for start in range(0, zs.size, chunk):
-        zz = zs[start:start + chunk]
-        R = 1.0 / (1.0 + zz[:, None] + 1j * komega[None, :])
-        T[start:start + chunk] = R @ wcols.T
-    return _assemble(T, mu, d)
+        T[start:start + chunk] = block(zs[start:start + chunk])
+    return T
 
 
 def _split(T: np.ndarray, d: int):
@@ -390,7 +397,7 @@ def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
     k = np.asarray(k, dtype=float)
     if k.shape != J.shape:
         raise ValueError(f"wavenumber must have shape {J.shape}")
-    return (_batch_2d if k.size == 2 else _batch_grid)(zs, k, mu, J)
+    return _assemble(_integrals(zs, k, J), mu, k.size)
 
 
 @dataclass(frozen=True)
@@ -776,8 +783,6 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
 # spectral abscissa prediction
 # ---------------------------------------------------------------------------
 
-# z values per kernel-sum call: bounds the (n/2 + 1, chunk) power table
-_CHUNK = 256
 # the two counted functions, in the row order of ``_symbols``
 _SYMBOLS = ("D", "det")
 
@@ -789,14 +794,10 @@ def _symbols(zs: np.ndarray, k: np.ndarray, mu: float,
     det = det(Id - mu A) and D = (1 - a) det - mu bbar^T adj(Id - mu A) b
     = h det.  Neither divides, so both stay finite where det = 0.
     """
-    out = np.empty((2, zs.size), dtype=complex)
-    for start in range(0, zs.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        a, bvec, bbar, A = _split(_integrals_2d(zs[sl], k, J), 2)
-        det, adjb = _det_adjugate_2d(np.eye(2)[None] - mu * A, bvec)
-        out[0, sl] = (1.0 - a) * det - mu * np.einsum("ij,ij->i", bbar, adjb)
-        out[1, sl] = det
-    return out
+    a, bvec, bbar, A = _split(_integrals(zs, k, J), 2)
+    det, adjb = _det_adjugate_2d(np.eye(2)[None] - mu * A, bvec)
+    return np.stack([(1.0 - a) * det - mu * np.einsum("ij,ij->i", bbar, adjb),
+                     det])
 
 
 def _majorant(mu: float, J: np.ndarray) -> np.ndarray:
@@ -977,14 +978,11 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
     J = project_to_manifold(mu, np.eye(d)[0])
     p = _majorant(mu, J)
     # |f - 1| <= 1/2 wherever z is at least ell from the singular segment
-    # {-1 + it : |t| <= |k|}, ell the one positive root of
-    # sum_{m>=1} p_m ell^-m = 1/2; so every zero right of -delta is in box
+    # {-1 + it : |t| <= |k|}, 1/ell the one positive root of p - 3/2 (its
+    # coefficients change sign once); so every zero right of -delta is in box
     poly = np.polynomial.polynomial
-    hi = 1.0
-    while poly.polyval(hi, p) < 1.5:
-        hi *= 2.0
-    ell = 1.0 / optimize.brentq(lambda beta: poly.polyval(beta, p) - 1.5,
-                                0.0, hi)
+    r = poly.polyroots(poly.polysub(p, [1.5]))
+    ell = 1.0 / float(r.real[(r.imag == 0.0) & (r.real > 0.0)][0])
     re_max = max(ell - 1.0, 0.0)
     roots: list[complex] = []
     contours = []

@@ -30,9 +30,11 @@ Three right-hand sides are supported:
 * "nonlinear":    the alignment dynamics themselves;
 * "linearized":   the dynamics linearized at an equilibrium (mu, J_eq); the
                   stored field is the perturbation f with Int Int f = 0.  The
-                  target is linear in the moments and pointwise in x, so the
-                  collision acts on the spectrum directly and a step needs no
-                  FFT at all;
+                  collision substep is one fixed map, e^{-h} Id plus a rank-3
+                  term (rho, J) -> (rho, J) . V, with the (3, ntheta) matrix
+                  V built once per (grid, operator, dt).  It acts pointwise
+                  in x, so it applies to the spectrum directly and a step
+                  needs no FFT at all;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
 
@@ -263,7 +265,10 @@ def _half_phase(nx: int, gamma: float, dt: float, grid: SphereGrid) -> np.ndarra
 
 class _Workspace:
     """Precomputed grid and operator data shared by all steps of one
-    (grid, operator, dt) combination."""
+    (grid, operator, dt) combination.  Both collisions span h = dt/2.  The
+    linearized one is S -> e^{-h} S + (rho, J) . V, with the (3, ntheta)
+    V = (1 - e^{-h}) T^T [M_eq; mu grad_J M_eq] and T = Id + (h/2)
+    [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J)."""
 
     def __init__(self, nx: int, ntheta: int, gamma: float, dt: float,
                  mu: float, mode: str, eps_reg: float | None,
@@ -279,23 +284,21 @@ class _Workspace:
             cut = nx // 3
             self.keep = ((m[:, None] <= cut)
                          & (m[None, : nx // 2 + 1] <= cut))[..., None]
-        self.mu = mu
+        self.h = 0.5 * dt
+        self.decay = math.exp(-self.h)
         self.eps_reg = eps_reg if mode == "regularized" else None
-        self.Jeq = _equilibrium_flux(mu, jeq_angle)
-        self.Meq = von_mises(self.Jeq, self.grid)
+        Jeq = _equilibrium_flux(mu, jeq_angle)
+        self.Meq = von_mises(Jeq, self.grid)
         if mode == "linearized":
-            G = von_mises_gradient(self.Jeq, self.grid)
-            self.G1, self.G2 = G[0], G[1]
-            self.C = flux_relaxation_matrix(mu, self.Jeq, self.grid)
-            self.jeq_over_mu = self.Jeq / mu
+            R = np.zeros((3, 3))
+            R[1:, 0] = Jeq / mu
+            R[1:, 1:] = flux_relaxation_matrix(mu, Jeq, self.grid)
+            T = np.eye(3) + 0.5 * self.h * R
+            B = np.vstack([self.Meq, mu * von_mises_gradient(Jeq, self.grid)])
+            self.V = (1.0 - self.decay) * (T.T @ B)
 
 
-@lru_cache(maxsize=8)
-def _workspace(nx: int, ntheta: int, gamma: float, dt: float, mu: float,
-               mode: str, eps_reg: float | None, jeq_angle: float,
-               dealias: bool) -> _Workspace:
-    return _Workspace(nx, ntheta, gamma, dt, mu, mode, eps_reg, jeq_angle,
-                      dealias)
+_workspace = lru_cache(maxsize=8)(_Workspace)
 
 
 def _workspace_of(config: SolverConfig, dt: float) -> _Workspace:
@@ -318,37 +321,30 @@ def regularized_flux(J: np.ndarray, eps: float) -> np.ndarray:
     return J * fac
 
 
-def _collide(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
-    """Exact relaxation over a substep of span h (nonlinear/regularized),
+def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Exact relaxation over the half-step span ws.h (nonlinear/regularized),
     on the half-spectrum S."""
     rho, Jx, Jy = np.fft.irfft2(_moments(S, ws.weights), s=ws.shape, axes=(1, 2))
     r = np.hypot(Jx, Jy)
     sfac = rho * _c_over_r(r) - 1.0
-    Js = np.stack([Jx + 0.5 * h * sfac * Jx, Jy + 0.5 * h * sfac * Jy], axis=-1)
+    Js = np.stack([Jx + 0.5 * ws.h * sfac * Jx, Jy + 0.5 * ws.h * sfac * Jy],
+                  axis=-1)
     if ws.eps_reg is not None:
         Js = regularized_flux(Js, ws.eps_reg)
     E = von_mises(Js, ws.grid)
     E *= rho[..., None]
     target = np.fft.rfft2(E, axes=(0, 1))
-    decay = math.exp(-h)
+    decay = ws.decay
     target *= (1.0 - decay) if ws.keep is None else (1.0 - decay) * ws.keep
     target += decay * S
     return target
 
 
-def _collide_linear(S: np.ndarray, h: float, ws: _Workspace) -> np.ndarray:
-    """Exact relaxation of the linearized collision over span h.  It is
-    linear and acts cell by cell, so it applies to the spectrum as is."""
-    rho, Jx, Jy = _moments(S, ws.weights)
-    C = ws.C
-    rx = rho * ws.jeq_over_mu[0] + C[0, 0] * Jx + C[0, 1] * Jy
-    ry = rho * ws.jeq_over_mu[1] + C[1, 0] * Jx + C[1, 1] * Jy
-    Jsx = Jx + 0.5 * h * rx
-    Jsy = Jy + 0.5 * h * ry
-    target = rho[..., None] * ws.Meq \
-        + ws.mu * (Jsx[..., None] * ws.G1 + Jsy[..., None] * ws.G2)
-    decay = math.exp(-h)
-    return decay * S + (1.0 - decay) * target
+def _collide_linear(S: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Exact relaxation of the linearized collision over the half-step span:
+    the workspace's rank-3 map.  It is linear and acts cell by cell, so it
+    applies to the spectrum as is."""
+    return ws.decay * S + np.tensordot(_moments(S, ws.weights), ws.V, axes=(0, 0))
 
 
 def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
@@ -357,9 +353,9 @@ def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
     half-spectrum and leaves S untouched."""
     ws = _workspace_of(config, dt)
     collide = _collide_linear if config.mode == "linearized" else _collide
-    S = collide(S, 0.5 * dt, ws)
+    S = collide(S, ws)
     S *= ws.phase
-    return collide(S, 0.5 * dt, ws)
+    return collide(S, ws)
 
 
 # ---------------------------------------------------------------------------

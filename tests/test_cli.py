@@ -279,6 +279,20 @@ def test_fit_window_failure_exits_1(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    argv = ["linear-decay", "--set", "nx=16", "--set", "ntheta=32",
+            "--set", "t_end=2.0", "--set", "snapshot_every=10",
+            "--quiet", "--output-dir", str(tmp_path)]
+    assert cli.main(argv + ["--set", "seed=1", "--set", "fit_t_min=0.5"]) == 0
+    assert _read_manifest(tmp_path)["config"]["seed"] == 1
+    rc = cli.main(argv + ["--set", "seed=2", "--set", "fit_t_min=1.85",
+                          "--set", "fit_t_max=1.95"])
+    assert rc == 1
+    assert "numerical failure" in capsys.readouterr().err
+    # the first run's manifest would describe the second run's files
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_solver_abort_writes_failure_manifest(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise SolverAbort(0.5)

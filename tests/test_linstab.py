@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -717,3 +718,16 @@ def test_abscissa_count_resolves_a_zero_next_to_the_contour(delta, n_D, n_det):
     assert np.array_equal(c["k"], [0.5, 0.0])
     assert c["count"] == {"D": n_D, "det": n_det}
     assert 0.0 < c["min_abs"]["det"] < 1e-7
+
+
+def test_dispersion_sweep_memory_is_bounded_per_z():
+    # 520,104 z at one k: the coefficients themselves take a few hundred
+    # bytes per z, the (n/2 + 1) x nz power table of one unchunked batch 2 KB
+    zs = default_z_grid(step=0.02)
+    tracemalloc.start()
+    try:
+        dispersion_sweep(1.5, 10.0, z_values=zs, k_vectors=[[10.0, 0.0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * zs.size
