@@ -90,8 +90,8 @@ DEFAULTS: dict[str, dict] = {
         "d": 2, "mu": 2.5, "L0": 0.01, "t_end": 40.0, "dt": 0.01,
     },
     "dispersion": {
-        "d": 2, "mu": 1.0, "gamma": 10.0, "delta": 0.05, "k_max": None,
-        "re_max": 2.0, "im_max": 50.0, "z_step": 0.25,
+        "mu": 1.0, "gamma": 10.0, "delta": 0.05, "k_max": None, "re_max": 2.0,
+        "im_max": 50.0, "z_step": 0.25,
     },
     "bounds": {
         "d": 2, "gamma": 10.0, "eps": None, "num_samples": 1000, "seed": 0,
@@ -240,7 +240,6 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["t_end"] > 0, "t_end", "must be > 0")
         _need(c["dt"] > 0, "dt", "must be > 0")
     elif experiment == "dispersion":
-        _need(c["d"] == 2, "d", "only d = 2 sweeps are wired to the CLI")
         _need(c["mu"] > 0, "mu", "must be > 0")
         _need(c["gamma"] > 0, "gamma", "must be > 0")
         _need(0 < c["delta"] < 1, "delta", "must be in (0, 1)")
@@ -346,9 +345,8 @@ def _run_homogeneous(c: dict, outdir: str):
 def _run_dispersion(c: dict, outdir: str):
     z_values = default_z_grid(delta=c["delta"], re_max=c["re_max"],
                               im_max=c["im_max"], step=c["z_step"])
-    sweep = dispersion_sweep(c["mu"], c["gamma"], c["d"],
-                             z_values=z_values, k_max=c["k_max"],
-                             delta=c["delta"])
+    sweep = dispersion_sweep(c["mu"], c["gamma"], z_values=z_values,
+                             k_max=c["k_max"], delta=c["delta"])
     # one row per (k, z) pair, k-major
     nk, nz = sweep.re_h.shape
     path = os.path.join(outdir, "dispersion.csv")

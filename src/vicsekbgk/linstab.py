@@ -49,7 +49,7 @@ from scipy import optimize
 
 from .equilibria import order_parameter, project_to_manifold, solve_L
 from .sphere import SphereGrid, auto_node_count, build_sphere_grid, \
-    gauss_legendre, von_mises, von_mises_gradient
+    von_mises, von_mises_gradient
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -169,10 +169,12 @@ def lambda_J(mu: float, d: int) -> float:
 def axis_coefficients(z, kmag: float, d: int):
     """(c0, c1, c2) in closed form, vectorized over z.
 
-    For d = 2 the angular integrals reduce to 1/w with w = sqrt(a^2 + b^2)
-    (principal branch; a = 1 + z has positive real part so no branch is
-    crossed); for d = 3 they reduce to logarithms.  Near b = 0 the closed
-    forms cancel catastrophically, so a short series in (b/a)^2 takes over.
+    For d = 2, with a = 1 + z, b = |k| and w = sqrt((a + ib)(a - ib))
+    (principal branch; Re w > 0 as Re a > 0), they are c0 = 1/w,
+    c1 = -ib / (w (w + a)) and c2 = a / (w (w + a)), by
+    1 - a/w = b^2 / (w (w + a)): nothing cancels at any b >= 0.  For d = 3
+    they reduce to logarithms, which cancel catastrophically near b = 0, so
+    there a short series in (b/a)^2 takes over.
 
     Args:
         z: complex scalar or array with Re z > -1.
@@ -190,26 +192,20 @@ def axis_coefficients(z, kmag: float, d: int):
     b = float(kmag)
     if b < 0:
         raise ValueError("kmag must be nonnegative")
-    if b == 0.0:
+    if d == 2:
+        # a^2 + b^2 would cancel where a is close to +-ib; the product does not
+        w = np.sqrt((a + 1j * b) * (a - 1j * b))
+        c0 = 1.0 / w
+        q = c0 / (w + a)
+        c1 = -1j * b * q
+        c2 = a * q
+    elif b == 0.0:
         c0 = 1.0 / a
         c1 = np.zeros_like(a)
-        c2 = 1.0 / (d * a)
-    elif d == 2:
+        c2 = 1.0 / (3.0 * a)
+    else:
         # the closed form loses ~|a/b|^2 eps to cancellation, the series
         # truncates at O((b/a)^10); they cross near b/|a| = 3e-2
-        small = np.abs(a) * 3e-2 > b
-        asafe = np.where(small, a, 1.0)
-        t = (b / asafe) ** 2
-        w = np.sqrt(a * a + b * b)
-        c0 = np.where(small,
-                      (1.0 - t * (0.5 - t * (0.375 - t * (0.3125 - t * 0.2734375))))
-                      / asafe, 1.0 / w)
-        one_minus_ac0 = np.where(
-            small, t * (0.5 - t * (0.375 - t * (0.3125 - t * 0.2734375))),
-            1.0 - a * c0)
-        c1 = one_minus_ac0 / (1j * b)
-        c2 = (a / b**2) * one_minus_ac0
-    else:
         small = np.abs(a) * 3e-2 > b
         asafe = np.where(small, a, 1.0)
         s = (b / asafe) ** 2
@@ -288,8 +284,6 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
     """
     ncols, n = ghat.shape
     a = 1.0 + zs
-    if b == 0.0:
-        return 2.0 * np.pi * np.outer(1.0 / a, ghat[:, 0])
     half = n // 2
     m = np.arange(1, half)
     phase = np.exp(1j * m * shift)
@@ -322,7 +316,7 @@ def _integrals(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
     kmag = float(np.linalg.norm(k))
     if k.size == 2:
         ghat = _column_spectrum(tuple(map(float, J)))
-        alpha = math.atan2(k[1], k[0]) if kmag > 0 else 0.0
+        alpha = math.atan2(k[1], k[0])
         width, ncols = ghat.shape[1] // 2 + 1, ghat.shape[0]
 
         def block(zz):
@@ -452,24 +446,20 @@ def phi2(u) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def alpha2(d: int, eps: float, n: int = 512) -> float:
-    """Mass of omega_1^2 M_0 on {|omega_1| >= eps}, scaled by d.
+def alpha2(d: int, eps: float) -> float:
+    """Mass of omega_1^2 M_0 on the cap {omega_1 >= eps}, scaled by d.
 
-    alpha2(d, 0) = 1/2 (the full second moment times d is 1) and
-    alpha2(d, 1) = 0; strictly decreasing in eps.
+    In closed form (arccos eps + eps sqrt(1 - eps^2)) / pi for d = 2 and
+    (1 - eps^3) / 2 for d = 3.  alpha2(d, 0) = 1/2 (the full second moment
+    times d is 1) and alpha2(d, 1) = 0; strictly decreasing in eps.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    # the cap {omega_1 >= eps} is the polar range [0, arccos eps]
-    tcap = math.acos(eps)
-    x, w = gauss_legendre(n)
-    t = 0.5 * tcap * (x + 1.0)
-    num = 0.5 * tcap * np.sum(w * np.cos(t) ** 2 * np.sin(t) ** (d - 2))
-    t2 = 0.5 * math.pi * (x + 1.0)
-    den = 0.5 * math.pi * np.sum(w * np.sin(t2) ** (d - 2))
-    return float(d * num / den)
+    if d == 2:
+        return (math.acos(eps) + eps * math.sqrt(1.0 - eps * eps)) / math.pi
+    if d == 3:
+        return 0.5 * (1.0 - eps ** 3)
+    raise ValueError("alpha2 is implemented for d in (2, 3)")
 
 
 @lru_cache(maxsize=None)
@@ -480,16 +470,11 @@ def default_eps(d: int) -> float:
                                  1e-9, 1.0 - 1e-9, xtol=1e-14))
 
 
-def _cd(d: int) -> float:
-    """|S^{d-2}| / |S^{d-1}| (the sup of the first-coordinate marginal)."""
-    return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
-
-
 def phi0(gamma: float, d: int) -> float:
     """Uniform gap in the c0 bound Re c0 <= 1 - phi0(|k|, d).
 
-    For d >= 3 the marginal of M_0 is bounded, giving
-    phi0 = max(0, 1 - c_d pi / gamma); on the circle the marginal has
+    For d = 3 the marginal of M_0 is bounded by c_3 = |S^1| / |S^2| = 1/2,
+    giving phi0 = max(0, 1 - pi / (2 gamma)); on the circle the marginal has
     endpoint singularities and splitting the angle at distance 1/sqrt(|k|)
     from {k.omega = 0} gives phi0 = max(0, 1 - (2/pi + 1/2)/sqrt(gamma)).
     """
@@ -497,7 +482,9 @@ def phi0(gamma: float, d: int) -> float:
         raise ValueError("gamma must be positive")
     if d == 2:
         return max(0.0, 1.0 - (2.0 / math.pi + 0.5) / math.sqrt(gamma))
-    return max(0.0, 1.0 - _cd(d) * math.pi / gamma)
+    if d == 3:
+        return max(0.0, 1.0 - 0.5 * math.pi / gamma)
+    raise ValueError("phi0 is implemented for d in (2, 3)")
 
 
 def c0_bound(kmag: float, d: int) -> float:
@@ -737,31 +724,19 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
     if f0_hat.shape != (grid.n,):
         raise ValueError("f0_hat must be nodal data on the grid")
     J = _check_equilibrium(mu, J, 2)
-
-    zs = np.array([z], dtype=complex)
-    out = _coefficient_batch(zs, k, mu, J)
-    b = float(np.linalg.norm(k))
-    alpha = math.atan2(k[1], k[0]) if b > 0 else 0.0
+    co = dispersion_coefficients(z, k, mu, J)
+    a, bvec, bbar, A, h = co.a, co.b, co.b_bar, co.A, co.h
+    if abs(h) < 1e-10:
+        raise SingularSymbolError(
+            f"h(z, k) = {h:.3e}: z is a dispersion root", z=complex(z), k=k)
     rcols = np.stack([f0_hat, grid.nodes[:, 0] * f0_hat,
                       grid.nodes[:, 1] * f0_hat])
     # nodal data enters through its discrete Fourier coefficients, i.e. the
     # exact integral of its trigonometric interpolant
     rhat = np.fft.fft(rcols, axis=1) / grid.n
-    R = _kernel_sums(rhat, zs, b, shift=alpha)[0]
+    R = _kernel_sums(rhat, np.array([z], dtype=complex),
+                     float(np.linalg.norm(k)), shift=math.atan2(k[1], k[0]))[0]
     r_rho, r_J = complex(R[0]), np.array(R[1:3])
-    a = complex(out["a"][0])
-    bvec = out["b"][0]
-    bbar = out["b_bar"][0]
-    A = out["A"][0]
-    h = complex(out["h"][0])
-    sigma = float(out["sigma_min"][0])
-    if not sigma > 1e-12:
-        raise SingularOperatorError(
-            f"Id - mu A singular: sigma_min={sigma:.3e}",
-            sigma_min=sigma, z=complex(z), k=k)
-    if abs(h) < 1e-10:
-        raise SingularSymbolError(
-            f"h(z, k) = {h:.3e}: z is a dispersion root", z=complex(z), k=k)
 
     Mop = np.eye(2) - mu * A
     rho_t = complex((r_rho + mu * bbar @ np.linalg.solve(Mop, r_J)) / h)

@@ -672,16 +672,22 @@ def fit_entropy_growth(series: DiagnosticsSeries) -> EntropyFit:
 # on-disk formats
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 4096      # rows formatted by one %-operation of _write_csv
+
+
 def _write_csv(path, header: str, columns) -> None:
     """Write a table given as equal-length 1-D columns: the header line,
     then one line per row of floats at 17 significant digits (round-trip
     exact), \\n line endings.  Every CSV of the package goes through here;
-    the whole table is formatted by one %-operation."""
+    each block of _CSV_BLOCK rows is formatted by one %-operation, so the
+    formatting holds one block's strings at a time."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    nrows, ncols = table.shape
-    line = ",".join(["%.17g"] * ncols) + "\n"
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + (line * nrows) % tuple(table.ravel().tolist()))
+        fh.write(header + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:

@@ -7,8 +7,8 @@ converge spectrally for smooth integrands, which is what keeps the von Mises
 moment identities at the 1e-10 level used downstream.
 
 Every Gauss-Legendre rule of the package (the 2-sphere grids, the axis
-integrals, the bound budget's alpha2 and the order-parameter quadrature)
-comes from :func:`gauss_legendre`, which builds each node count once.
+integrals and the order-parameter quadrature) comes from
+:func:`gauss_legendre`, which builds each node count once.
 
 The von Mises density with parameter vector J is
 

@@ -30,7 +30,8 @@ from vicsekbgk.linstab import (
     phi2,
     spectral_abscissa,
 )
-from vicsekbgk.sphere import build_sphere_grid, von_mises, von_mises_gradient
+from vicsekbgk.sphere import build_sphere_grid, gauss_legendre, von_mises, \
+    von_mises_gradient
 
 
 def c1_symmetrized(z, kmag: float, d: int, n: int | None = None):
@@ -181,6 +182,66 @@ def test_axis_coefficients_domain():
         axis_coefficients(-1.5, 1.0, 2)
 
 
+def _axis_textbook_2d(a, b):
+    """d = 2 axis coefficients from the textbook forms 1/w, (1 - a/w)/(ib)
+    and (a/b^2)(1 - a/w), w = sqrt(a^2 + b^2), in long double: 1 - a/w
+    cancels, costing |a/b|^2 long-double eps, ~1e-16 at b >= 0.03|a|."""
+    a = np.asarray(a, dtype=np.clongdouble)
+    b = np.longdouble(b)
+    w = np.sqrt(a * a + b * b)
+    one = 1 - a / w
+    return 1 / w, one / (1j * b), a * one / (b * b)
+
+
+def _max_rel_err(got, want):
+    return max(abs(complex(g) - complex(v)) / abs(complex(v))
+               for g, v in zip(got, want))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+def test_axis_coefficients_2d_against_long_double_oracle():
+    # |k| / |1 + z| from 0.03 to 1e3, plus near-resonant points |k| close to
+    # |Im(1 + z)| with small Re z + 1, where a^2 + |k|^2 cancels
+    rng = np.random.default_rng(17)
+    n = 2000
+    z = rng.uniform(-0.95, 3.0, n) + 1j * rng.uniform(-60.0, 60.0, n)
+    ratio = np.concatenate([[0.03, 0.03 * (1 + 1e-12)],
+                            10.0 ** rng.uniform(math.log10(0.03), 3.0, n - 2)])
+    kmag = ratio * np.abs(1.0 + z)
+    zr = rng.uniform(-0.99, -0.9, 200) + 1j * rng.uniform(10.0, 60.0, 200)
+    z = np.concatenate([z, zr])
+    kmag = np.concatenate([kmag, zr.imag * (1.0 + rng.uniform(-1e-3, 1e-3, 200))])
+    worst = 0.0
+    for zi, ki in zip(z, kmag):
+        got = axis_coefficients(complex(zi), float(ki), 2)
+        worst = max(worst, _max_rel_err(got, _axis_textbook_2d(1.0 + zi, ki)))
+    assert worst < 1e-14
+
+
+def test_axis_coefficients_2d_small_wavenumber_against_mpmath():
+    # |k| / |1 + z| from 0 to 0.03, where the textbook forms cancel: the
+    # oracle evaluates them at 40 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(19)
+    z = rng.uniform(-0.95, 3.0, 300) + 1j * rng.uniform(-60.0, 60.0, 300)
+    ratio = np.concatenate([[0.03, 0.03 * (1 - 1e-12)],
+                            10.0 ** rng.uniform(-8.0, math.log10(0.03), 298)])
+    for zi, ri in zip(z, ratio):
+        a = 1.0 + complex(zi)
+        ki = float(ri * abs(a))
+        A, B = mp.mpc(a.real, a.imag), mp.mpf(ki)
+        W = mp.sqrt(A * A + B * B)
+        one = 1 - A / W
+        got = axis_coefficients(complex(zi), ki, 2)
+        assert _max_rel_err(got, (1 / W, one / (1j * B), A * one / (B * B))) < 1e-14
+    for zi in z[:20]:
+        a = 1.0 + complex(zi)
+        c0, c1, c2 = axis_coefficients(complex(zi), 0.0, 2)
+        assert _max_rel_err((c0, c2), (1 / a, 0.5 / a)) < 1e-15 and c1 == 0
+
+
 # ---------------------------------------------------------------------------
 # explicit bound functions
 # ---------------------------------------------------------------------------
@@ -210,6 +271,33 @@ def test_alpha2_analytic_oracles():
         te = math.acos(eps)
         assert abs(alpha2(2, eps) - (te + eps * math.sin(te)) / math.pi) < 1e-12
         assert abs(alpha2(3, eps) - 0.5 * (1.0 - eps ** 3)) < 1e-12
+
+
+def _alpha2_gauss_legendre(d, eps, n=512):
+    """linstab.alpha2 as it was before its closed forms: the cap and sphere
+    masses by an n-node Gauss-Legendre rule in the polar angle."""
+    tcap = math.acos(eps)
+    x, w = gauss_legendre(n)
+    t = 0.5 * tcap * (x + 1.0)
+    num = 0.5 * tcap * np.sum(w * np.cos(t) ** 2 * np.sin(t) ** (d - 2))
+    t2 = 0.5 * math.pi * (x + 1.0)
+    den = 0.5 * math.pi * np.sum(w * np.sin(t2) ** (d - 2))
+    return float(d * num / den)
+
+
+def test_alpha2_matches_gauss_legendre_reference():
+    for d in (2, 3):
+        for eps in np.linspace(0.0, 1.0, 41):
+            assert abs(alpha2(d, eps) - _alpha2_gauss_legendre(d, eps)) < 1e-15
+
+
+def test_bound_budget_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        alpha2(4, 0.5)
+    with pytest.raises(ValueError):
+        phi0(10.0, 4)
+    with pytest.raises(ValueError):
+        bound_budget(10.0, 4)
 
 
 def test_default_eps_solves_budget_split():
@@ -513,6 +601,16 @@ def test_kernel_sums_bit_equal_to_row_major_oracle(k):
     shift = math.atan2(k[1], k[0])
     got = linstab._kernel_sums(ghat, zs, b, shift)
     assert got.tobytes() == _kernel_sums_row_major(cols, zs, b, shift).tobytes()
+
+
+def test_kernel_sums_at_zero_wavenumber():
+    # at b = 0 the kernel ratio rho vanishes and only the mean survives
+    cols = linstab._fourier_columns_2d(np.array([solve_L(2.5, 2), 0.0]))
+    ghat = np.fft.fft(cols, axis=1) / cols.shape[1]
+    zs = default_z_grid(im_max=5.0, step=0.5)
+    got = linstab._kernel_sums(ghat, zs, 0.0)
+    want = 2.0 * np.pi * np.outer(1.0 / (1.0 + zs), ghat[:, 0])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_coefficient_batches_transform_columns_once(monkeypatch):
