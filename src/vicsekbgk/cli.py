@@ -17,7 +17,8 @@ parameter is validated before any computation starts.  The solver
 experiments build their SolverConfig once and validate it with
 solver.validate, the one place the rules on its fields are stated; this
 module checks only the keys that never reach the solver (fit windows, sweep
-controls).  Each run writes its
+controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells is
+rejected from its arithmetic size).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically.  A run that fails before writing any artifact (exit 1) still
@@ -226,6 +227,66 @@ def _check_types(defaults: dict, c: dict, prefix: str = "") -> None:
                   name, "must be a number")
 
 
+# A dispersion run peaks at ~100 B per (k, z) cell (the CSV columns tiled
+# from the sweep) or at ~370 B per z (one k's coefficient tables), whichever
+# is more: 105 B per cell measured on the default lattice (40 wavenumbers),
+# 293 B on the smallest (2).  4 million cells, 25 times the default sweep,
+# keep a run below ~1.2 GB.
+_MAX_SWEEP_CELLS = 4_000_000
+
+
+def _axis_size(lo: float, hi: float, step: float, limit: int) -> int:
+    """Length of one axis of default_z_grid, np.arange(lo, hi + 1e-12, step)
+    (entry i >= 2 is lo + i ((lo + step) - lo)) plus hi when the last entry
+    falls short; any size above limit is returned as limit + 1."""
+    n = (hi + 1e-12 - lo) / step
+    if not n <= limit:
+        return limit + 1
+    n = math.ceil(n)
+    last = lo + step if n == 2 else lo + (n - 1) * ((lo + step) - lo)
+    return n + (last < hi - 1e-12)
+
+
+def _lattice_size(gamma: float, k_max: float, limit: int) -> int:
+    """len(lattice_wavenumbers(gamma, k_max)), counted row by row in m2 with
+    the same test on |m| gamma; any size above limit may be returned as a
+    larger number."""
+    ratio = k_max / gamma
+    if ratio > limit:  # the m2 = 0 row alone holds floor(ratio) of them
+        return limit + 1
+    mmax = int(math.floor(ratio))
+
+    def inside(m1: int, m2: int) -> bool:
+        return math.hypot(m1, m2) * gamma <= k_max + 1e-9
+
+    count = 0
+    for m2 in range(mmax + 1):
+        # the largest m1 in [0, mmax] inside; inside is monotone in |m1|
+        m1 = min(mmax, int(math.sqrt((ratio - m2) * (ratio + m2))))
+        while m1 < mmax and inside(m1 + 1, m2):
+            m1 += 1
+        while m1 >= 0 and not inside(m1, m2):
+            m1 -= 1
+        # the half lattice keeps m1 > 0 on the row m2 = 0, every m1 above it
+        count += max(2 * m1 + 1, 0) if m2 else m1
+        if count > limit:
+            break
+    return count
+
+
+def _sweep_cells(c: dict) -> int:
+    """(k, z) cells of the dispersion sweep, counted without building the
+    lattice or the z grid; any count above _MAX_SWEEP_CELLS may be returned
+    as a larger number."""
+    cap = _MAX_SWEEP_CELLS
+    nz = (_axis_size(-c["delta"], c["re_max"], c["z_step"], cap)
+          * _axis_size(-c["im_max"], c["im_max"], c["z_step"], cap))
+    if nz > cap:
+        return nz
+    k_max = 5.0 * c["gamma"] if c["k_max"] is None else c["k_max"]
+    return nz * _lattice_size(c["gamma"], k_max, cap // nz)
+
+
 def validate_config(experiment: str, c: dict) -> None:
     if experiment == "bifurcation":
         _need(c["d"] in (2, 3), "d", "must be 2 or 3")
@@ -248,6 +309,12 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["re_max"] > 0, "re_max", "must be > 0")
         _need(c["im_max"] > 0, "im_max", "must be > 0")
         _need(c["z_step"] > 0, "z_step", "must be > 0")
+        cells = _sweep_cells(c)
+        _need(cells > 0, "k_max", "must be >= gamma, the shortest wavenumber")
+        if cells > _MAX_SWEEP_CELLS:
+            raise ConfigError(
+                f"the sweep exceeds {_MAX_SWEEP_CELLS} (k, z) cells; raise "
+                "z_step or lower re_max, im_max or k_max")
     elif experiment == "bounds":
         _need(c["d"] in (2, 3), "d", "must be 2 or 3")
         _need(c["gamma"] > 0, "gamma", "must be > 0")

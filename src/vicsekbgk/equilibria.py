@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .sphere import gauss_legendre
 
@@ -118,6 +118,73 @@ def order_parameter_derivative(r, d: int):
     return float(out[0]) if scalar else out
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq: the same bracket swaps,
+    inverse-quadratic / secant steps and stopping test |xblk - xcur|/2 <
+    (xtol + rtol |xcur|)/2, in the same order of operations, so it returns
+    the same double after the same calls of f.  An exact zero at an end is
+    returned; ends of one sign or a NaN value raise ValueError, and no
+    convergence within maxiter iterations raises RuntimeError.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    def neg(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if neg(fpre) == neg(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and neg(fpre) != neg(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # den underflows to 0 for tiny f; the inf or NaN that C
+                # gets then fails the short-step test below, as inf does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den \
+                    else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def asymptotic_L(mu: float, d: int) -> float:
     """Leading-order branch magnitude sqrt((d+2)(mu-d)) near threshold."""
     if mu <= d:
@@ -130,8 +197,9 @@ def solve_L(mu: float, d: int, tol: float = 1e-12) -> float:
     """Positive root of mu c(L) = L (0 for mu <= d).
 
     Brackets with [asymptotic_L/2, mu] (c < 1 forces the root below mu),
-    solves by Brent's method, then Newton-polishes until the residual
-    |mu c(L) - L| drops below tol.  Results are cached.
+    solves by Brent's method (_brentq, bit-identical to scipy's brentq),
+    then Newton-polishes until the residual |mu c(L) - L| drops below tol.
+    Results are cached.
     """
     mu = float(mu)
     if mu <= d:
@@ -148,8 +216,7 @@ def solve_L(mu: float, d: int, tol: float = 1e-12) -> float:
     else:
         raise RuntimeError(f"failed to bracket the branch point for mu={mu}, d={d}")
     hi = mu
-    L = optimize.brentq(g, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps,
-                        maxiter=200)
+    L = _brentq(g, lo, hi, xtol=1e-15, maxiter=200)
     for _ in range(20):
         res = g(L)
         if abs(res) <= tol:

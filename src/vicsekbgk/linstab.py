@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
-from .equilibria import order_parameter, project_to_manifold, solve_L
+from .equilibria import _brentq, order_parameter, project_to_manifold, solve_L
 from .sphere import SphereGrid, auto_node_count, build_sphere_grid, \
     von_mises, von_mises_gradient
 
@@ -465,9 +464,10 @@ def alpha2(d: int, eps: float) -> float:
 @lru_cache(maxsize=None)
 def default_eps(d: int) -> float:
     """The cap parameter solving alpha2(d, eps) = 3/8 (the budget split that
-    yields the uniform 1/5 lower bound on Re h)."""
-    return float(optimize.brentq(lambda e: alpha2(d, e) - 0.375,
-                                 1e-9, 1.0 - 1e-9, xtol=1e-14))
+    yields the uniform 1/5 lower bound on Re h), by Brent's method on
+    (1e-9, 1 - 1e-9) (equilibria._brentq, bit-identical to scipy's brentq)."""
+    return _brentq(lambda e: alpha2(d, e) - 0.375, 1e-9, 1.0 - 1e-9,
+                   xtol=1e-14)
 
 
 def phi0(gamma: float, d: int) -> float:

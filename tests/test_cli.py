@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -348,3 +350,61 @@ def test_numerical_failure_writes_failure_manifest(tmp_path, capsys):
         "error_type": "ValueError"}
     assert manifest["outputs"] == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_import_leaves_scipy_optimize_and_linalg_unloaded():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vicsekbgk, vicsekbgk.cli; "
+         "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dispersion_sweep_cells_count_the_built_grids():
+    # the arithmetic count equals the size of the lattice and grid the run
+    # would build, with ends on and off the grid spacing
+    from vicsekbgk.linstab import default_z_grid, lattice_wavenumbers
+    assert cli._sweep_cells(cli.resolve_config("dispersion", None, [])) == 160_400
+    rng = np.random.default_rng(7)
+    for i in range(400):
+        step = float(10.0 ** rng.uniform(-1.5, 0.5))
+        gamma = float(10.0 ** rng.uniform(-0.5, 1.0))
+        c = {"delta": float(rng.uniform(0.01, 0.99)), "z_step": step,
+             "re_max": float(10.0 ** rng.uniform(-2.0, 1.0)),
+             "im_max": float(10.0 ** rng.uniform(-2.0, 1.2)), "gamma": gamma,
+             "k_max": float(gamma * rng.uniform(1.0, 12.0))}
+        if i % 2:
+            c["k_max"] = gamma * int(rng.integers(1, 12))
+            c["im_max"] = step * int(rng.integers(1, 40))
+            c["re_max"] = max(step * int(rng.integers(1, 20)) - c["delta"], step)
+        if i % 5 == 0:
+            c["k_max"] = None
+        k_max = 5.0 * gamma if c["k_max"] is None else c["k_max"]
+        want = (len(lattice_wavenumbers(gamma, k_max))
+                * default_z_grid(c["delta"], c["re_max"], c["im_max"], step).size)
+        assert cli._sweep_cells(c) == want, c
+
+
+def test_dispersion_sweep_too_large_exits_2(tmp_path, capsys):
+    # 50,101 x 201 z at 40 wavenumbers: ~403 million cells
+    start = time.monotonic()
+    rc = cli.main(["dispersion", "--set", "z_step=1e-6", "--set", "re_max=1e-4",
+                   "--set", "im_max=1e-4", "--output-dir", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "(k, z) cells" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dispersion_k_max_below_the_lattice_exits_2(tmp_path, capsys):
+    rc = cli.main(["dispersion", "--set", "k_max=5", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "invalid value for k_max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vicsekbgk.equilibria import (
+    _brentq,
     asymptotic_L,
     equilibrium_branch,
     homogeneous_flow,
@@ -12,6 +13,7 @@ from vicsekbgk.equilibria import (
     project_to_manifold,
     solve_L,
 )
+from vicsekbgk.linstab import alpha2
 
 from conftest import oracle_c, bisect_branch
 
@@ -196,3 +198,104 @@ def test_homogeneous_flow_fourth_order():
     e1 = abs(homogeneous_flow(mu, J0, t_end=4.0, dt=0.2).L[-1] - ref)
     e2 = abs(homogeneous_flow(mu, J0, t_end=4.0, dt=0.1).L[-1] - ref)
     assert 10.0 < e1 / e2 < 22.0
+
+
+# ---------------------------------------------------------------------------
+# root finder: scipy.optimize.brentq, which _brentq replaces, is the oracle
+# ---------------------------------------------------------------------------
+
+def _recorded(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+    return wrapped, calls
+
+
+def _run(solver, f, a, b, **kw):
+    """(root or exception type, the x of every f call) of one solve."""
+    wrapped, calls = _recorded(f)
+    try:
+        out = solver(wrapped, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        out = type(exc)
+    return out, calls
+
+
+def _assert_same_as_scipy(f, a, b, **kw):
+    optimize = pytest.importorskip("scipy.optimize")
+    want, want_calls = _run(optimize.brentq, f, a, b, **kw)
+    got, got_calls = _run(_brentq, f, a, b, **kw)
+    assert got_calls == want_calls
+    if isinstance(want, float):
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    else:
+        assert got is want
+
+
+def test_brentq_matches_scipy_on_the_consistency_relation():
+    # solve_L's function and bracket at 241 mu per dimension
+    for d in (2, 3):
+        for mu in np.linspace(d + 1e-6, d + 24.0, 241):
+            mu = float(mu)
+
+            def g(L):
+                return mu * order_parameter(L, d) - L
+            lo = 0.5 * asymptotic_L(mu, d)
+            while g(lo) <= 0.0:
+                lo *= 0.5
+            _assert_same_as_scipy(g, lo, mu, xtol=1e-15,
+                                  rtol=4.0 * np.finfo(float).eps, maxiter=200)
+
+
+def test_brentq_matches_scipy_on_the_cap_parameter():
+    # default_eps's function and bracket
+    for d in (2, 3):
+        _assert_same_as_scipy(lambda e: alpha2(d, e) - 0.375, 1e-9, 1.0 - 1e-9,
+                              xtol=1e-14)
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    # both bracket orders; scales down to 1e-200, where C's products and
+    # quotients underflow; a few runs that stop at maxiter
+    shapes = (lambda x: x,
+              lambda x: math.sin(x),
+              lambda x: x ** 3 + 0.1 * x,
+              lambda x: math.expm1(x),
+              lambda x: math.atan(50.0 * x),
+              lambda x: x * (x - 0.3) * (x + 0.7))
+    rng = np.random.default_rng(2024)
+    for i in range(1200):
+        shape = shapes[i % len(shapes)]
+        root = float(rng.uniform(-2.0, 2.0))
+        scale = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        if i % 5 == 0:
+            scale *= 1e-200
+        a = root - float(rng.uniform(1e-3, 3.0))
+        b = root + float(rng.uniform(1e-3, 3.0))
+        if i % 2:
+            a, b = b, a
+        xtol = float(10.0 ** rng.uniform(-15.0, -3.0))
+        maxiter = 5 if i % 7 == 0 else 100
+        _assert_same_as_scipy(lambda x: scale * shape(x - root), a, b,
+                              xtol=xtol, maxiter=maxiter)
+
+
+def test_brentq_error_contract():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: 1e-200 * (x + 2.0), 0.0, 1.0)  # f(a) f(b) underflows
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(lambda x: math.atan(50.0 * (x - 0.3)), 0.0, 1.0, maxiter=3)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
+    assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    for f, a, b in ((lambda x: x * x + 1.0, -1.0, 1.0),
+                    (lambda x: 1e-200 * (x + 2.0), 0.0, 1.0),
+                    (lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0)):
+        _assert_same_as_scipy(f, a, b)
+    _assert_same_as_scipy(lambda x: math.atan(50.0 * (x - 0.3)), 0.0, 1.0,
+                          maxiter=3)
