@@ -339,6 +339,10 @@ def validate_config(experiment: str, c: dict) -> None:
             validate(_experiment_solver_config(experiment, c))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
+        if experiment == "linear-decay" and c["k_max"] is not None:
+            # the predicted rate needs a k != 0 on the lattice gamma Z^2
+            _need(_lattice_size(c["gamma"], c["k_max"], 1) > 0, "k_max",
+                  "must be null or >= gamma, the shortest wavenumber")
     else:  # pragma: no cover - guarded by argparse choices
         raise ConfigError(f"unknown experiment {experiment!r}")
 

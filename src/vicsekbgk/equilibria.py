@@ -9,6 +9,12 @@ a flux J solving the consistency relation |J| = mu * c(|J|), where
 is the mean resultant length of the von Mises density at concentration r.
 Below mu = d only J = 0 solves it; above, a sphere of radius L_mu > 0
 bifurcates with L_mu^2 = (d+2)(mu-d) + O((mu-d)^2).
+
+On the circle c(r) = I1(r)/I0(r), from the exponentially scaled Bessel
+functions i0e and i1e of Cephes (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989, files i0.c, i1.c and chbevl.c), ported here
+with the same coefficients and order of operations, so they return the bits
+scipy.special.i0e / i1e return.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .sphere import gauss_legendre
 
@@ -53,6 +58,135 @@ def _quadrature_stats(r: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return num1 / den, num2 / den
 
 
+# Cephes Chebyshev coefficients: exp(-x) I_n(x) on [0, 8] in y = x/2 - 2
+# (the "A" tables) and sqrt(x) exp(-x) I_n(x) on (8, inf) in y = 32/x - 2
+# (the "B" tables), highest order first.
+_I0_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I1_A = (
+    2.7779141127610464e-18, -2.111421214358166e-17, 1.5536319577362005e-16,
+    -1.1055969477353862e-15, 7.600684294735408e-15, -5.042185504727912e-14,
+    3.223793365945575e-13, -1.9839743977649436e-12, 1.1736186298890901e-11,
+    -6.663489723502027e-11, 3.625590281552117e-10, -1.8872497517228294e-09,
+    9.381537386495773e-09, -4.445059128796328e-08, 2.0032947535521353e-07,
+    -8.568720264695455e-07, 3.4702513081376785e-06, -1.3273163656039436e-05,
+    4.781565107550054e-05, -0.00016176081582589674, 0.0005122859561685758,
+    -0.0015135724506312532, 0.004156422944312888, -0.010564084894626197,
+    0.024726449030626516, -0.05294598120809499, 0.1026436586898471,
+    -0.17641651835783406, 0.25258718644363365,
+)
+_I0_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+_I1_B = (
+    7.517296310842105e-18, 4.414348323071708e-18, -4.6503053684893586e-17,
+    -3.209525921993424e-17, 2.96262899764595e-16, 3.3082023109209285e-16,
+    -1.8803547755107825e-15, -3.8144030724370075e-15, 1.0420276984128802e-14,
+    4.272440016711951e-14, -2.1015418427726643e-14, -4.0835511110921974e-13,
+    -7.198551776245908e-13, 2.0356285441470896e-12, 1.4125807436613782e-11,
+    3.2526035830154884e-11, -1.8974958123505413e-11, -5.589743462196584e-10,
+    -3.835380385964237e-09, -2.6314688468895196e-08, -2.512236237870209e-07,
+    -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
+    0.7785762350182801,
+)
+
+
+def _chbevl(y: float, coef: tuple) -> float:
+    """Cephes chbevl: the Chebyshev series coef at y by Clenshaw's
+    recurrence b0 = y b1 - b2 + c, in Python floats."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b2 = b1
+        b1 = b0
+        b0 = y * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0e(x: float) -> float:
+    """Cephes i0e, exp(-x) I0(x), for a float x >= 0 (NaN gives NaN)."""
+    if x <= 8.0:
+        return _chbevl(x / 2.0 - 2.0, _I0_A)
+    return _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
+
+
+def _i1e(x: float) -> float:
+    """Cephes i1e, exp(-x) I1(x), for a float x >= 0 (NaN gives NaN)."""
+    if x <= 8.0:
+        return _chbevl(x / 2.0 - 2.0, _I1_A) * x
+    return _chbevl(32.0 / x - 2.0, _I1_B) / math.sqrt(x)
+
+
+# The i0 and i1 series of one range packed as the real and imaginary parts
+# of complex coefficients, held as 0-d arrays (the cheapest scalar operand of
+# a ufunc); the i1 "A" table is one term shorter, and a leading zero term
+# leaves its recurrence unchanged.
+_PACKED_A = tuple(np.array(complex(a, b))
+                  for a, b in zip(_I0_A, (0.0,) + _I1_A))
+_PACKED_B = tuple(np.array(complex(a, b)) for a, b in zip(_I0_B, _I1_B))
+
+
+def _chbevl_pair(y: np.ndarray, coef: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """_chbevl of the packed i0 and i1 series at every entry of the 1-D y.
+
+    The recurrence runs in place on three complex buffers.  y enters with a
+    zero imaginary part, whose cross terms 0 * b1 are exact zeros (b1 stays
+    finite), so each complex product rounds as y b1.real and y b1.imag do
+    and both lanes return _chbevl's bits.
+    """
+    yc = y.astype(complex)
+    buf = np.empty((3, y.size), dtype=complex)
+    b0, b1, b2 = buf
+    b0.fill(coef[0])
+    b1.fill(0.0)
+    for c in coef[1:]:
+        b2, b1, b0 = b1, b0, b2
+        np.multiply(yc, b1, b0)  # positional out: less call overhead
+        np.subtract(b0, b2, b0)
+        np.add(b0, c, b0)
+    t = b0 - b2
+    return 0.5 * t.real, 0.5 * t.imag
+
+
+def _i0e_i1e(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i0e(x), i1e(x)) elementwise for an array x >= 0 (NaN gives NaN)."""
+    shape = x.shape
+    x = x.ravel()
+    low = x <= 8.0
+    if low.all():
+        s0, s1 = _chbevl_pair(x / 2.0 - 2.0, _PACKED_A)
+        return s0.reshape(shape), (s1 * x).reshape(shape)
+    i0 = np.empty_like(x)
+    i1 = np.empty_like(x)
+    if low.any():
+        xa = x[low]
+        s0, s1 = _chbevl_pair(xa / 2.0 - 2.0, _PACKED_A)
+        i0[low], i1[low] = s0, s1 * xa
+    high = ~low
+    xb = x[high]
+    s0, s1 = _chbevl_pair(32.0 / xb - 2.0, _PACKED_B)
+    s = np.sqrt(xb)
+    i0[high], i1[high] = s0 / s, s1 / s
+    return i0.reshape(shape), i1.reshape(shape)
+
+
 def order_parameter(r, d: int):
     """The consistency function c(r) for concentration r >= 0.
 
@@ -62,13 +196,17 @@ def order_parameter(r, d: int):
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    if d == 2 and isinstance(r, float) and 0.0 < r < math.inf:
+        r = float(r)  # the root finders' and RK4's scalar calls
+        return _i1e(r) / _i0e(r)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("concentration must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if d == 2:
-        out = np.where(r > 0, special.i1e(r) / special.i0e(r), 0.0)
+        i0, i1 = _i0e_i1e(r)
+        out = np.where(r > 0, i1 / i0, 0.0)
     elif d == 3:
         small = r < 1e-3
         rs = np.where(small, 1.0, r)
@@ -85,8 +223,11 @@ def _c_over_r(r: np.ndarray) -> np.ndarray:
     """c(r)/r on the circle, I1(r)/(r I0(r)), stable as r -> 0."""
     small = r < 1e-4
     rs = np.where(small, 1.0, r)
-    return np.where(small, 0.5 - r**2 / 16.0,
-                    special.i1e(rs) / (rs * special.i0e(rs)))
+    i0, i1 = _i0e_i1e(rs)
+    out = i1 / (rs * i0)
+    if small.any():
+        out[small] = 0.5 - r[small] ** 2 / 16.0
+    return out
 
 
 def order_parameter_derivative(r, d: int):
@@ -103,8 +244,8 @@ def order_parameter_derivative(r, d: int):
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if d == 2:
-        c = special.i1e(r) / special.i0e(r)
-        out = 1.0 - _c_over_r(r) - c**2
+        i0, i1 = _i0e_i1e(r)
+        out = 1.0 - _c_over_r(r) - (i1 / i0)**2
     elif d == 3:
         small = r < 1e-2
         big = r > 300.0

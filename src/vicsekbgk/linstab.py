@@ -567,7 +567,16 @@ def lattice_wavenumbers(gamma: float, k_max: float, half: bool = True) -> np.nda
                 continue
             if math.hypot(m1, m2) * gamma <= k_max + 1e-9:
                 out.append((gamma * m1, gamma * m2))
-    return np.array(out, dtype=float)
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def _nonempty_lattice(gamma: float, k_max: float) -> np.ndarray:
+    """lattice_wavenumbers(gamma, k_max), which must hold a wavenumber."""
+    k = lattice_wavenumbers(gamma, k_max)
+    if not len(k):
+        raise ValueError(f"k_max = {k_max} holds no wavenumber: the shortest "
+                         f"is gamma = {gamma}")
+    return k
 
 
 def default_z_grid(delta: float = DEFAULT_DELTA, re_max: float = 2.0,
@@ -626,7 +635,8 @@ def dispersion_sweep(mu: float, gamma: float, d: int = 2, *, J=None,
     if z_values is None:
         z_values = default_z_grid(delta=delta)
     if k_vectors is None:
-        k_vectors = lattice_wavenumbers(gamma, 5.0 * gamma if k_max is None else k_max)
+        k_vectors = _nonempty_lattice(
+            gamma, 5.0 * gamma if k_max is None else k_max)
     if np.shape(k_vectors)[-1] != d:
         raise ValueError(f"wavenumbers must have {d} components")
     z, k, re_h, sig = _sweep(mu, J, z_values, k_vectors)
@@ -961,7 +971,7 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
     re_max = max(ell - 1.0, 0.0)
     roots: list[complex] = []
     contours = []
-    for k in lattice_wavenumbers(gamma, k_max):
+    for k in _nonempty_lattice(gamma, k_max):
         box = (-delta, re_max, float(np.linalg.norm(k)) + ell)
         counts, margins, npts = _count_zeros(mu, k, J, p, box)
         found = {name: [] for name in _SYMBOLS}

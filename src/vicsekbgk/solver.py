@@ -590,7 +590,7 @@ def run(config: SolverConfig) -> RunResult:
     for i in range(1, nsteps + 1):
         S = step(S, config.dt, config)
         t = i * config.dt
-        if not np.isfinite(S).all():
+        if not np.isfinite(S.view(float)).all():  # both parts, as floats
             raise SolverAbort(t)
         if i % config.snapshot_every == 0 or i == nsteps:
             F = PhaseField(np.fft.irfft2(S, s=ws.shape, axes=(0, 1)),

@@ -408,3 +408,19 @@ def test_dispersion_k_max_below_the_lattice_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "invalid value for k_max" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_linear_decay_k_max_below_the_lattice_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "spectral_abscissa", no_work)
+    rc = cli.main(["linear-decay", "--set", "k_max=5", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "invalid value for k_max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # the shortest wavenumber itself is a valid k_max
+    cli.resolve_config("linear-decay", None, ["k_max=10"])

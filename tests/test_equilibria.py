@@ -1,10 +1,18 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from vicsekbgk.equilibria import (
     _brentq,
+    _c_over_r,
+    _i0e,
+    _i0e_i1e,
+    _i1e,
     asymptotic_L,
     equilibrium_branch,
     homogeneous_flow,
@@ -198,6 +206,79 @@ def test_homogeneous_flow_fourth_order():
     e1 = abs(homogeneous_flow(mu, J0, t_end=4.0, dt=0.2).L[-1] - ref)
     e2 = abs(homogeneous_flow(mu, J0, t_end=4.0, dt=0.1).L[-1] - ref)
     assert 10.0 < e1 / e2 < 22.0
+
+
+# ---------------------------------------------------------------------------
+# Bessel functions: scipy.special's Cephes i0e / i1e, which _i0e, _i1e and
+# _i0e_i1e replace, is the oracle
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    mismatch = got[~nan].view(np.int64) != want[~nan].view(np.int64)
+    assert not mismatch.any(), (got[~nan][mismatch][:5],
+                                want[~nan][mismatch][:5])
+
+
+def _bessel_points():
+    """10^5 seeded points on [0, 20], 10^5 on 10^[-300, 300], and the ends
+    and the series cut-off 8 with its two neighbours."""
+    rng = np.random.default_rng(20261018)
+    return np.concatenate([
+        rng.uniform(0.0, 20.0, 100_000),
+        10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+        [0.0, 5e-324, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0),
+         1e308, np.inf, np.nan]])
+
+
+def test_i0e_i1e_match_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    x = _bessel_points()
+    want0, want1 = special.i0e(x), special.i1e(x)
+    got0, got1 = _i0e_i1e(x)
+    _assert_same_bits(got0, want0)
+    _assert_same_bits(got1, want1)
+    _assert_same_bits([_i0e(v) for v in x.tolist()], want0)
+    _assert_same_bits([_i1e(v) for v in x.tolist()], want1)
+    # any shape, with both series in one array or only one of them
+    for part in (x[-1000:], x[x <= 8.0][:1000], x[x > 8.0][:1000]):
+        got0, got1 = _i0e_i1e(part.reshape(40, 25))
+        _assert_same_bits(got0.ravel(), special.i0e(part))
+        _assert_same_bits(got1.ravel(), special.i1e(part))
+
+
+def test_scalar_and_array_paths_agree_bit_for_bit():
+    x = _bessel_points()
+    r = x[(x > 0.0) & np.isfinite(x)]
+    c = [order_parameter(v, 2) for v in r.tolist()]
+    assert all(type(v) is float for v in c)
+    _assert_same_bits(c, order_parameter(r, 2))
+    _assert_same_bits([order_parameter(np.float64(v), 2) for v in r[:1000]],
+                      c[:1000])
+    # c(r)/r: the series below 1e-4, i1e / (r i0e) from the scalar forms above
+    r = np.concatenate([r, [1e-4, np.nextafter(1e-4, 0.0), 0.0]])
+    want = [0.5 - v * v / 16.0 if v < 1e-4 else _i1e(v) / (v * _i0e(v))
+            for v in r.tolist()]
+    _assert_same_bits(_c_over_r(r), want)
+    _assert_same_bits(_c_over_r(r[:1024].reshape(32, 32)).ravel(), want[:1024])
+    # NaN is not negative and not positive: c(NaN) is 0, as before the port
+    assert order_parameter(math.nan, 2) == 0.0
+    assert np.array_equal(order_parameter(np.array([math.nan, 1.0]), 2),
+                          [0.0, order_parameter(1.0, 2)])
+
+
+def test_import_loads_no_scipy_module():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vicsekbgk, vicsekbgk.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

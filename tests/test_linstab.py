@@ -430,6 +430,23 @@ def test_lattice_wavenumbers():
     assert full.shape[0] == 2 * ks.shape[0]
 
 
+def test_lattice_without_a_wavenumber_has_two_columns():
+    assert lattice_wavenumbers(10.0, 5.0).shape == (0, 2)
+    assert lattice_wavenumbers(10.0, 5.0, half=False).shape == (0, 2)
+
+
+def test_dispersion_sweep_names_k_max_below_the_lattice():
+    with pytest.raises(ValueError, match="k_max"):
+        dispersion_sweep(1.9, 10.0, k_max=5.0)
+
+
+@pytest.mark.parametrize("fn", [abscissa_candidates, spectral_abscissa])
+def test_abscissa_names_k_max_below_the_lattice(fn):
+    # it returned the k = 0 rate 0.25 without checking any k
+    with pytest.raises(ValueError, match="k_max"):
+        fn(1.5, 10.0, 2, 5.0)
+
+
 def test_default_z_grid():
     zs = default_z_grid(delta=0.05)
     assert np.min(zs.real) >= -0.05 - 1e-12
