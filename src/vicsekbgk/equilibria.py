@@ -187,12 +187,22 @@ def _i0e_i1e(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i0.reshape(shape), i1.reshape(shape)
 
 
+def _limit_at_infinity(fn, r: np.ndarray, d: int, limit: float) -> np.ndarray:
+    """fn(r, d) on the entries of the array r other than +inf, and limit
+    on those."""
+    out = np.full(r.shape, limit)
+    rest = r != np.inf
+    out[rest] = fn(r[rest], d)
+    return out
+
+
 def order_parameter(r, d: int):
     """The consistency function c(r) for concentration r >= 0.
 
     Closed forms: I_1(r)/I_0(r) on the circle, the Langevin function
     coth(r) - 1/r on the 2-sphere; stabilized quadrature for d >= 4.
-    Vectorized in r; c(0) = 0, c'(0) = 1/d, and c(r) increases to 1.
+    Vectorized in r; c(0) = 0, c'(0) = 1/d, and c(r) increases to
+    c(inf) = 1.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -204,7 +214,9 @@ def order_parameter(r, d: int):
         raise ValueError("concentration must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if d == 2:
+    if np.any(r == np.inf):
+        out = _limit_at_infinity(order_parameter, r, d, 1.0)
+    elif d == 2:
         i0, i1 = _i0e_i1e(r)
         out = np.where(r > 0, i1 / i0, 0.0)
     elif d == 3:
@@ -234,7 +246,8 @@ def order_parameter_derivative(r, d: int):
     """dc/dr, used by Newton polishing and stability formulas.
 
     For d=2, c' = 1 - c/r - c^2 (Bessel recurrences); for d=3,
-    c' = 1/r^2 - 1/sinh^2 r; generally c' = <cos^2> - <cos>^2 > 0.
+    c' = 1/r^2 - 1/sinh^2 r; generally c' = <cos^2> - <cos>^2 > 0;
+    c'(inf) = 0.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -243,7 +256,9 @@ def order_parameter_derivative(r, d: int):
         raise ValueError("concentration must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if d == 2:
+    if np.any(r == np.inf):
+        out = _limit_at_infinity(order_parameter_derivative, r, d, 0.0)
+    elif d == 2:
         i0, i1 = _i0e_i1e(r)
         out = 1.0 - _c_over_r(r) - (i1 / i0)**2
     elif d == 3:

@@ -21,20 +21,23 @@ The collision substep applies the exact relaxation
 with the von Mises parameter J* advanced to the substep midpoint by an Euler
 predictor of the flux ODE dJ/dt = rho c(|J|) J/|J| - J (so the full splitting
 is second order in dt).  The angular moments (rho, J) commute with the spatial
-transform, so they are taken on the spectrum and only those three 2-D fields
-are transformed back; the von Mises target is built in physical space and
-transformed forward once, with the 2/3-rule mask (Orszag 1971) multiplied in
-when dealiasing is on.  A nonlinear step therefore costs two 3-D real FFTs.
-Three right-hand sides are supported:
+transform, so they are taken on the spectrum: one real GEMM of its float view
+(the (Re, Im) pairs of each cell as one row) with a (2 ntheta, 6) moment
+matrix.  Only those three 2-D fields are transformed back; the von Mises
+target is built in physical space and transformed forward once, with the
+2/3-rule mask (Orszag 1971) multiplied in when dealiasing is on.  A
+nonlinear step therefore costs two 3-D real FFTs.  Three right-hand sides
+are supported:
 
 * "nonlinear":    the alignment dynamics themselves;
 * "linearized":   the dynamics linearized at an equilibrium (mu, J_eq); the
                   stored field is the perturbation f with Int Int f = 0.  The
                   collision substep is one fixed map, e^{-h} Id plus a rank-3
-                  term (rho, J) -> (rho, J) . V, with the (3, ntheta) matrix
-                  V built once per (grid, operator, dt).  It acts pointwise
-                  in x, so it applies to the spectrum directly and a step
-                  needs no FFT at all;
+                  term (rho, J) -> (rho, J) . V, built once per (grid,
+                  operator, dt).  It acts pointwise in x, so it applies to
+                  the spectrum directly: the moment GEMM, then a second real
+                  GEMM that expands (rho, J) back over the float view.  A
+                  step needs no FFT at all;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
 
@@ -240,9 +243,9 @@ def _moment_weights(grid: SphereGrid) -> np.ndarray:
 
 
 def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Angular moments (rho, J_x, J_y) over the last (theta) axis, stacked
-    on a new first axis.  They are linear and act cell by cell, so the same
-    call serves nodal values and their spatial spectrum."""
+    """Angular moments (rho, J_x, J_y) over the last (theta) axis of nodal
+    values, stacked on a new first axis.  The steps read the moments of the
+    spectrum through the workspace's W2."""
     flat = values.reshape(-1, values.shape[-1])
     return (weights @ flat.T).reshape((3,) + values.shape[:-1])
 
@@ -263,19 +266,39 @@ def _half_phase(nx: int, gamma: float, dt: float, grid: SphereGrid) -> np.ndarra
     return 0.5 * (table(m, m[half]) + np.conj(table(neg, neg[half])))
 
 
+def _interleave(A: np.ndarray) -> np.ndarray:
+    """The real matrix that applies A to the (Re, Im) pairs of a complex
+    vector's float view: A on the even rows and columns, A again on the odd
+    ones, zero elsewhere."""
+    out = np.zeros((2 * A.shape[0], 2 * A.shape[1]))
+    out[0::2, 0::2] = A
+    out[1::2, 1::2] = A
+    return out
+
+
+def _float_rows(S: np.ndarray) -> np.ndarray:
+    """The float view of the half-spectrum S, one row of 2 ntheta
+    interleaved (Re, Im) values per cell; a copy only if S is not
+    C-contiguous."""
+    return np.ascontiguousarray(S).view(float).reshape(-1, 2 * S.shape[-1])
+
+
 class _Workspace:
     """Precomputed grid and operator data shared by all steps of one
-    (grid, operator, dt) combination.  Both collisions span h = dt/2.  The
-    linearized one is S -> e^{-h} S + (rho, J) . V, with the (3, ntheta)
+    (grid, operator, dt) combination.  Both collisions span h = dt/2 and
+    read the moments (rho, J) off the spectrum's float rows as rows @ W2,
+    with the (2 ntheta, 6) W2 the moment weights interleaved over (Re, Im).
+    The linearized one is S -> e^{-h} S + (rho, J) . V, with the (3, ntheta)
     V = (1 - e^{-h}) T^T [M_eq; mu grad_J M_eq] and T = Id + (h/2)
-    [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J)."""
+    [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J); it is stored
+    interleaved the same way, as the (6, 2 ntheta) V2."""
 
     def __init__(self, nx: int, ntheta: int, gamma: float, dt: float,
                  mu: float, mode: str, eps_reg: float | None,
                  jeq_angle: float, dealias: bool):
         self.grid = build_sphere_grid(2, ntheta)
         self.wtheta = 2.0 * math.pi / ntheta
-        self.weights = _moment_weights(self.grid)
+        self.W2 = _interleave(_moment_weights(self.grid).T)
         self.shape = (nx, nx)
         self.phase = _half_phase(nx, gamma, dt, self.grid)
         self.keep = None
@@ -295,7 +318,7 @@ class _Workspace:
             R[1:, 1:] = flux_relaxation_matrix(mu, Jeq, self.grid)
             T = np.eye(3) + 0.5 * self.h * R
             B = np.vstack([self.Meq, mu * von_mises_gradient(Jeq, self.grid)])
-            self.V = (1.0 - self.decay) * (T.T @ B)
+            self.V2 = _interleave((1.0 - self.decay) * (T.T @ B))
 
 
 _workspace = lru_cache(maxsize=8)(_Workspace)
@@ -324,7 +347,8 @@ def regularized_flux(J: np.ndarray, eps: float) -> np.ndarray:
 def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Exact relaxation over the half-step span ws.h (nonlinear/regularized),
     on the half-spectrum S."""
-    rho, Jx, Jy = np.fft.irfft2(_moments(S, ws.weights), s=ws.shape, axes=(1, 2))
+    m = (_float_rows(S) @ ws.W2).view(complex).T.reshape((3,) + S.shape[:-1])
+    rho, Jx, Jy = np.fft.irfft2(m, s=ws.shape, axes=(1, 2))
     r = np.hypot(Jx, Jy)
     sfac = rho * _c_over_r(r) - 1.0
     Js = np.stack([Jx + 0.5 * ws.h * sfac * Jx, Jy + 0.5 * ws.h * sfac * Jy],
@@ -343,8 +367,11 @@ def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _collide_linear(S: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Exact relaxation of the linearized collision over the half-step span:
     the workspace's rank-3 map.  It is linear and acts cell by cell, so it
-    applies to the spectrum as is."""
-    return ws.decay * S + np.tensordot(_moments(S, ws.weights), ws.V, axes=(0, 0))
+    applies to the spectrum's float rows as is: two real GEMMs."""
+    R = _float_rows(S)
+    out = (R @ ws.W2) @ ws.V2
+    out += ws.decay * R
+    return out.view(complex).reshape(S.shape)
 
 
 def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:

@@ -380,3 +380,26 @@ def test_brentq_error_contract():
         _assert_same_as_scipy(f, a, b)
     _assert_same_as_scipy(lambda x: math.atan(50.0 * (x - 0.3)), 0.0, 1.0,
                           maxiter=3)
+
+
+# ---------------------------------------------------------------------------
+# limits at infinite concentration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_order_parameter_limits_at_infinity(d):
+    # c(inf) = 1 and c'(inf) = 0, scalar and array, with no warning (the
+    # suite runs under error::RuntimeWarning); finite entries keep the bits
+    # of a call without the infinite one
+    assert order_parameter(math.inf, d) == 1.0
+    assert order_parameter_derivative(math.inf, d) == 0.0
+    assert order_parameter(np.array(np.inf), d) == 1.0
+    finite = np.array([0.0, 1e-5, 0.7, 3.0, 40.0])
+    r = np.insert(finite, [0, 3, 5], np.inf)
+    top = r == np.inf
+    for fn, limit in ((order_parameter, 1.0), (order_parameter_derivative, 0.0)):
+        out = fn(r, d)
+        assert out.shape == r.shape
+        assert np.all(out[top] == limit)
+        assert np.array_equal(out[~top], fn(finite, d))
+        assert np.array_equal(fn(np.full(3, np.inf), d), np.full(3, limit))

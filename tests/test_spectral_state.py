@@ -190,3 +190,66 @@ def test_linearized_step_needs_no_transform(monkeypatch):
     cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32, dt=0.01,
                        init=InitSpec(recipe="random-smooth"))
     assert _count_transforms(monkeypatch, cfg) == []
+
+
+# ---------------------------------------------------------------------------
+# the collisions on the spectrum's float view
+# ---------------------------------------------------------------------------
+
+def _linearized_workspace_and_spectrum():
+    # a long half-step, so that the rank-3 term is not small beside e^{-h} S
+    cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32, dt=0.5,
+                       jeq_angle=0.4)
+    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    return solver._workspace_of(cfg, cfg.dt), S
+
+
+def test_collide_linear_matches_complex_moment_oracle():
+    # the complex-moment formula the two real GEMMs replaced
+    ws, S = _linearized_workspace_and_spectrum()
+    assert np.abs(S.imag).max() > 0.1
+    V = ws.V2[0::2, 0::2]
+    weights = solver._moment_weights(ws.grid)
+    oracle = ws.decay * S + np.tensordot(solver._moments(S, weights), V,
+                                         axes=(0, 0))
+    out = solver._collide_linear(S, ws)
+    eps = np.finfo(float).eps
+    assert out.shape == S.shape and out.dtype == S.dtype
+    assert np.max(np.abs(out - oracle)) <= 4 * eps * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "regularized"])
+def test_collide_reads_spectral_moments_of_complex_oracle(monkeypatch, mode):
+    cfg = SolverConfig(mu=2.5, mode=mode, nx=16, ntheta=32, dt=0.01,
+                       jeq_angle=0.4,
+                       eps_reg=1.0 if mode == "regularized" else None)
+    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    ws = solver._workspace_of(cfg, cfg.dt)
+    seen = []
+    irfft2 = np.fft.irfft2
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return irfft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft2", spy)
+    solver._collide(S, ws)
+    oracle = solver._moments(S, solver._moment_weights(ws.grid))
+    eps = np.finfo(float).eps
+    [moments] = seen
+    assert moments.shape == oracle.shape == (3, 16, 9)
+    assert np.max(np.abs(moments - oracle)) <= 4 * eps * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linearized", "regularized"])
+def test_step_accepts_fortran_ordered_spectrum(mode):
+    cfg = SolverConfig(mu=2.5, mode=mode, nx=16, ntheta=32, dt=0.01,
+                       jeq_angle=0.4,
+                       eps_reg=1.0 if mode == "regularized" else None)
+    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    SF = np.asfortranarray(S)
+    assert not SF.flags.c_contiguous
+    before = SF.copy(order="K")
+    out = step(SF, cfg.dt, cfg)
+    assert np.array_equal(out.view(float), step(S, cfg.dt, cfg).view(float))
+    assert np.array_equal(SF, before) and SF.flags.f_contiguous
