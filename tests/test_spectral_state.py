@@ -196,17 +196,18 @@ def test_linearized_step_needs_no_transform(monkeypatch):
 # the collisions on the spectrum's float view
 # ---------------------------------------------------------------------------
 
-def _linearized_workspace_and_spectrum():
-    # a long half-step, so that the rank-3 term is not small beside e^{-h} S
-    cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32, dt=0.5,
-                       jeq_angle=0.4)
-    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
-    return solver._workspace_of(cfg, cfg.dt), S
+def _config_and_spectrum(mode, dt=0.01):
+    cfg = SolverConfig(mu=2.5, mode=mode, nx=16, ntheta=32, dt=dt,
+                       jeq_angle=0.4,
+                       eps_reg=1.0 if mode == "regularized" else None)
+    return cfg, np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
 
 
 def test_collide_linear_matches_complex_moment_oracle():
-    # the complex-moment formula the two real GEMMs replaced
-    ws, S = _linearized_workspace_and_spectrum()
+    # the complex-moment formula the two real GEMMs replaced, at a long
+    # half-step so that the rank-3 term is not small beside e^{-h} S
+    cfg, S = _config_and_spectrum("linearized", dt=0.5)
+    ws = solver._workspace_of(cfg, cfg.dt)
     assert np.abs(S.imag).max() > 0.1
     V = ws.V2[0::2, 0::2]
     weights = solver._moment_weights(ws.grid)
@@ -220,10 +221,7 @@ def test_collide_linear_matches_complex_moment_oracle():
 
 @pytest.mark.parametrize("mode", ["nonlinear", "regularized"])
 def test_collide_reads_spectral_moments_of_complex_oracle(monkeypatch, mode):
-    cfg = SolverConfig(mu=2.5, mode=mode, nx=16, ntheta=32, dt=0.01,
-                       jeq_angle=0.4,
-                       eps_reg=1.0 if mode == "regularized" else None)
-    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    cfg, S = _config_and_spectrum(mode)
     ws = solver._workspace_of(cfg, cfg.dt)
     seen = []
     irfft2 = np.fft.irfft2
@@ -243,10 +241,7 @@ def test_collide_reads_spectral_moments_of_complex_oracle(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["nonlinear", "linearized", "regularized"])
 def test_step_accepts_fortran_ordered_spectrum(mode):
-    cfg = SolverConfig(mu=2.5, mode=mode, nx=16, ntheta=32, dt=0.01,
-                       jeq_angle=0.4,
-                       eps_reg=1.0 if mode == "regularized" else None)
-    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    cfg, S = _config_and_spectrum(mode)
     SF = np.asfortranarray(S)
     assert not SF.flags.c_contiguous
     before = SF.copy(order="K")
