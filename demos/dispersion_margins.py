@@ -26,7 +26,7 @@ def main() -> None:
           f"{'argmin h (z, |k|)':>28}")
     for mu in (1.0, 1.9, 2.05):
         J = solve_L(mu, 2) * np.array([1.0, 0.0]) if mu > 2.0 else None
-        sweep = dispersion_sweep(mu, GAMMA, 2, J=J)
+        sweep = dispersion_sweep(mu, GAMMA, J=J)
         z, k = sweep.argmin_h
         print(f"{mu:6.2f} {sweep.min_re_h:10.4f} {sweep.min_sigma:10.4f} "
               f"{str(np.round(z, 3)):>18}, {np.linalg.norm(k):5.1f}")

@@ -44,7 +44,6 @@ from .linstab import (
     BoundBudget,
     DispersionCoefficients,
     FLSolution,
-    InvertibilityReport,
     SingularOperatorError,
     SingularSymbolError,
     SweepResult,
@@ -60,7 +59,6 @@ from .linstab import (
     dispersion_sweep,
     fl_solve,
     flux_relaxation_matrix,
-    invertibility_sweep,
     lambda_J,
     lattice_wavenumbers,
     phi0,
@@ -78,7 +76,6 @@ from .solver import (
     diagnostics,
     dist_to_manifold,
     entropy_functional,
-    equilibrium_flux,
     field_moments,
     fit_decay_rate,
     fit_entropy_growth,

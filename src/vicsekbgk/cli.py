@@ -17,8 +17,9 @@ parameter is validated before any computation starts.  The solver
 experiments build their SolverConfig once and validate it with
 solver.validate, the one place the rules on its fields are stated; this
 module checks only the keys that never reach the solver (fit windows, sweep
-controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells is
-rejected from its arithmetic size).  Each run writes its
+controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells and a
+linear-decay k_max whose lattice holds more than _MAX_ABSCISSA_WAVENUMBERS
+are rejected from their arithmetic size).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically.  A run that fails before writing any artifact (exit 1) still
@@ -49,6 +50,8 @@ from .equilibria import (
     solve_L,
 )
 from .linstab import (
+    _axis_size,
+    _lattice_size,
     axis_coefficients,
     bound_budget,
     c0_bound,
@@ -234,44 +237,13 @@ def _check_types(defaults: dict, c: dict, prefix: str = "") -> None:
 # keep a run below ~1.2 GB.
 _MAX_SWEEP_CELLS = 4_000_000
 
-
-def _axis_size(lo: float, hi: float, step: float, limit: int) -> int:
-    """Length of one axis of default_z_grid, np.arange(lo, hi + 1e-12, step)
-    (entry i >= 2 is lo + i ((lo + step) - lo)) plus hi when the last entry
-    falls short; any size above limit is returned as limit + 1."""
-    n = (hi + 1e-12 - lo) / step
-    if not n <= limit:
-        return limit + 1
-    n = math.ceil(n)
-    last = lo + step if n == 2 else lo + (n - 1) * ((lo + step) - lo)
-    return n + (last < hi - 1e-12)
-
-
-def _lattice_size(gamma: float, k_max: float, limit: int) -> int:
-    """len(lattice_wavenumbers(gamma, k_max)), counted row by row in m2 with
-    the same test on |m| gamma; any size above limit may be returned as a
-    larger number."""
-    ratio = k_max / gamma
-    if ratio > limit:  # the m2 = 0 row alone holds floor(ratio) of them
-        return limit + 1
-    mmax = int(math.floor(ratio))
-
-    def inside(m1: int, m2: int) -> bool:
-        return math.hypot(m1, m2) * gamma <= k_max + 1e-9
-
-    count = 0
-    for m2 in range(mmax + 1):
-        # the largest m1 in [0, mmax] inside; inside is monotone in |m1|
-        m1 = min(mmax, int(math.sqrt((ratio - m2) * (ratio + m2))))
-        while m1 < mmax and inside(m1 + 1, m2):
-            m1 += 1
-        while m1 >= 0 and not inside(m1, m2):
-            m1 -= 1
-        # the half lattice keeps m1 > 0 on the row m2 = 0, every m1 above it
-        count += max(2 * m1 + 1, 0) if m2 else m1
-        if count > limit:
-            break
-    return count
+# The predicted rate of linear-decay counts the zeros for each lattice k on a
+# contour whose length grows like |k|: at mu 1.5, gamma 10 on a 2-vCPU Xeon it
+# took 5 ms per k at k_max 30 (14 wavenumbers), 8 ms at 200 (628) and 20 ms
+# at 400 (2,512; 51 s in all), with peak RSS below 45 MB.  Time is the limit,
+# not memory: 2,500 wavenumbers keep the prediction near a minute at gamma
+# 10, the length of the longest solver experiment.
+_MAX_ABSCISSA_WAVENUMBERS = 2_500
 
 
 def _sweep_cells(c: dict) -> int:
@@ -341,8 +313,10 @@ def validate_config(experiment: str, c: dict) -> None:
             raise ConfigError(str(exc)) from None
         if experiment == "linear-decay" and c["k_max"] is not None:
             # the predicted rate needs a k != 0 on the lattice gamma Z^2
-            _need(_lattice_size(c["gamma"], c["k_max"], 1) > 0, "k_max",
-                  "must be null or >= gamma, the shortest wavenumber")
+            cap = _MAX_ABSCISSA_WAVENUMBERS
+            _need(0 < _lattice_size(c["gamma"], c["k_max"], cap) <= cap, "k_max",
+                  "must be null or >= gamma, the shortest wavenumber, and "
+                  f"reach at most {cap} lattice wavenumbers")
     else:  # pragma: no cover - guarded by argparse choices
         raise ConfigError(f"unknown experiment {experiment!r}")
 
@@ -549,7 +523,7 @@ def _run_linear_decay(c: dict, outdir: str):
     s = result.series
     t_max = c["fit_t_max"] if c["fit_t_max"] is not None else c["t_end"]
     rate, r2 = fit_decay_rate(s, c["fit_t_min"], t_max, column="l2")
-    predicted = spectral_abscissa(c["mu"], c["gamma"], 2, c["k_max"],
+    predicted = spectral_abscissa(c["mu"], c["gamma"], c["k_max"],
                                   delta=c["delta"])
     summary = {
         "rate_measured": rate,

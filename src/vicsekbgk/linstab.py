@@ -16,17 +16,18 @@ dispersion function
 whose zeros (together with the zeros of det(Id - mu A) and the k = 0 moment
 rates) control the decay of the linearized semigroup.
 
-Every coefficient runs through one path, ``_coefficient_batch``: the
+The dispersion coefficients are computed for d = 2, the torus of the solver
+and of every sweep.  Each runs through one path, ``_coefficient_batch``: the
 equilibrium columns (M, omega_i M, grad_J M, omega_i grad_J M) are built by
-one function on a sphere grid and integrated against the kernel.  For d = 2
-the integrals are exact on the circle: the kernel has the angular Fourier
-series sum_m S_m e^{im phi} with S_m = rho^|m| / w,
-w = sqrt((1+z)^2 + |k|^2), rho = -i|k|/(w + 1 + z), |rho| < 1, and the von
-Mises factors have superexponentially decaying Fourier coefficients, so the
-integrals are short geometric contractions instead of quadratures whose node
-count would have to grow like |k|.  For d = 3 grid quadrature is used on a
-grid built to resolve both |J| and |k|.  Both take z in chunks of a ~2 MB
-table, so a sweep's memory grows with nz only through the coefficients.
+one function on the circle and integrated against the kernel exactly: the
+kernel has the angular Fourier series sum_m S_m e^{im phi} with
+S_m = rho^|m| / w, w = sqrt((1+z)^2 + |k|^2), rho = -i|k|/(w + 1 + z),
+|rho| < 1, and the von Mises factors have superexponentially decaying
+Fourier coefficients, so the integrals are short geometric contractions
+instead of quadratures whose node count would have to grow like |k|.  z is
+taken in chunks of a ~2 MB table, so a sweep's memory grows with nz only
+through the coefficients.  The axis coefficients and the bound budget also
+take d = 3.
 
 The spectral abscissa (d = 2) counts before it locates.  Multiplying h by
 det gives the division-free D = (1 - a) det - mu bbar^T adj(Id - mu A) b,
@@ -74,8 +75,6 @@ __all__ = [
     "default_z_grid",
     "SweepResult",
     "dispersion_sweep",
-    "InvertibilityReport",
-    "invertibility_sweep",
     "FLSolution",
     "fl_solve",
     "spectral_abscissa",
@@ -227,26 +226,21 @@ def axis_coefficients(z, kmag: float, d: int):
 # dispersion coefficients (a, b, bbar, A, h) at general (z, k, mu, J)
 # ---------------------------------------------------------------------------
 
-def _equilibrium_columns(J: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """The integrands of the coefficients at the nodes of grid.
-
-    Returns the (1 + 2d + d^2, n) rows (M, w_i M, G_i, w_i G_j), i-major,
-    where M = M_J and G = grad_J M_J at the equilibrium flux J.
-    """
-    M = von_mises(J, grid)
-    G = von_mises_gradient(J, grid)
-    w = grid.nodes.T
-    return np.concatenate([M[None], w * M, G,
-                           (w[:, None] * G[None]).reshape(-1, grid.n)])
-
-
 def _fourier_columns_2d(J: np.ndarray) -> np.ndarray:
-    """The equilibrium columns on the uniform circle grid of n = 2^j >= 256
-    nodes, with n >= 8|J| + 64 so that M_J is resolved."""
+    """The integrands of the coefficients on the uniform circle grid of
+    n = 2^j >= 256 nodes, with n >= 8|J| + 64 so that M_J is resolved.
+
+    Returns the (9, n) rows (M, w_i M, G_i, w_i G_j), i-major, where M = M_J
+    and G = grad_J M_J at the equilibrium flux J.
+    """
     n = 256
     while n < 8 * float(np.linalg.norm(J)) + 64:
         n *= 2
-    return _equilibrium_columns(J, build_sphere_grid(2, n))
+    grid = build_sphere_grid(2, n)
+    M = von_mises(J, grid)
+    G = von_mises_gradient(J, grid)
+    w = grid.nodes.T
+    return np.concatenate([M[None], w * M, G, (w[:, None] * G[None]).reshape(-1, n)])
 
 
 @lru_cache(maxsize=8)
@@ -302,46 +296,28 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
     return powers.T @ sym.T
 
 
-# complex entries of the table one z chunk builds (~2 MB): the power table
-# for d = 2, the resolvent block for d = 3
+# complex entries of the power table one z chunk builds (~2 MB)
 _TABLE = 1 << 17
 
 
 def _integrals(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
     """The equilibrium columns integrated against the kernel at a batch of z
-    for one k; one row per z.  d = 2 uses the exact kernel expansion, d = 3
-    quadrature on a grid that resolves |J| and |k|.  The z are taken in
-    chunks whose table has at most _TABLE entries."""
-    kmag = float(np.linalg.norm(k))
-    if k.size == 2:
-        ghat = _column_spectrum(tuple(map(float, J)))
-        alpha = math.atan2(k[1], k[0])
-        width, ncols = ghat.shape[1] // 2 + 1, ghat.shape[0]
-
-        def block(zz):
-            return _kernel_sums(ghat, zz, kmag, shift=alpha)
-    else:
-        n = max(auto_node_count(float(np.linalg.norm(J))), math.ceil(15.0 * kmag))
-        grid = build_sphere_grid(k.size, n)
-        # complex once, not once per chunk
-        wcols = (_equilibrium_columns(J, grid) * grid.weights).T.astype(complex)
-        komega = grid.nodes @ k
-        width, ncols = wcols.shape
-
-        def block(zz):
-            return (1.0 / (1.0 + zz[:, None] + 1j * komega[None, :])) @ wcols
-    chunk = max(1, _TABLE // width)
-    T = np.empty((zs.size, ncols), dtype=complex)
+    for one k, by the exact kernel expansion; one row per z.  The z are
+    taken in chunks whose table has at most _TABLE entries."""
+    ghat = _column_spectrum(tuple(map(float, J)))
+    kmag, alpha = float(np.linalg.norm(k)), math.atan2(k[1], k[0])
+    chunk = max(1, _TABLE // (ghat.shape[1] // 2 + 1))
+    T = np.empty((zs.size, ghat.shape[0]), dtype=complex)
     for start in range(0, zs.size, chunk):
-        T[start:start + chunk] = block(zs[start:start + chunk])
+        T[start:start + chunk] = _kernel_sums(ghat, zs[start:start + chunk],
+                                              kmag, shift=alpha)
     return T
 
 
-def _split(T: np.ndarray, d: int):
+def _split(T: np.ndarray):
     """(a, b, bbar, A) from the integrated columns T (rows of
-    ``_equilibrium_columns``, one row of T per z)."""
-    return (T[:, 0], T[:, 1:1 + d], T[:, 1 + d:1 + 2 * d],
-            T[:, 1 + 2 * d:].reshape(-1, d, d))
+    ``_fourier_columns_2d``, one row of T per z)."""
+    return T[:, 0], T[:, 1:3], T[:, 3:5], T[:, 5:].reshape(-1, 2, 2)
 
 
 def _det_adjugate_2d(Mop: np.ndarray, bvec: np.ndarray):
@@ -353,25 +329,19 @@ def _det_adjugate_2d(Mop: np.ndarray, bvec: np.ndarray):
     return det, adjb
 
 
-def _assemble(T: np.ndarray, mu: float, d: int) -> dict:
+def _assemble(T: np.ndarray, mu: float) -> dict:
     """Split the integrated columns T into (a, b, bbar, A), eliminate J~ and
     add (h, det, sigma_min)."""
-    a, bvec, bbar, A = _split(T, d)
-    eye = np.eye(d)
-    Mop = eye[None, :, :] - mu * A
-    if d == 2:
-        # X = (Id - mu A)^{-1} b via the 2x2 adjugate
-        det, X = _det_adjugate_2d(Mop, bvec)
-        X /= det[:, None]
-        frob2 = np.abs(Mop).reshape(-1, 4) ** 2
-        Tr = frob2.sum(axis=1)
-        D = np.abs(det) ** 2
-        disc = np.sqrt(np.maximum(Tr * Tr - 4.0 * D, 0.0))
-        sigma_min = np.sqrt(2.0 * D / (Tr + disc))
-    else:
-        det = np.linalg.det(Mop)
-        X = np.linalg.solve(Mop, bvec[..., None])[..., 0]
-        sigma_min = np.linalg.svd(Mop, compute_uv=False)[:, -1]
+    a, bvec, bbar, A = _split(T)
+    Mop = np.eye(2)[None, :, :] - mu * A
+    # X = (Id - mu A)^{-1} b via the 2x2 adjugate
+    det, X = _det_adjugate_2d(Mop, bvec)
+    X /= det[:, None]
+    frob2 = np.abs(Mop).reshape(-1, 4) ** 2
+    Tr = frob2.sum(axis=1)
+    D = np.abs(det) ** 2
+    disc = np.sqrt(np.maximum(Tr * Tr - 4.0 * D, 0.0))
+    sigma_min = np.sqrt(2.0 * D / (Tr + disc))
     h = 1.0 - a - mu * np.einsum("ij,ij->i", bbar, X)
     return {"a": a, "b": bvec, "b_bar": bbar, "A": A,
             "h": h, "det": det, "sigma_min": sigma_min}
@@ -381,16 +351,15 @@ def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
     """Coefficients, h, det and sigma_min at a batch of z for one k.
 
     J must be an equilibrium flux, checked once by the public caller
-    (``_check_equilibrium``), and k must have its shape; d = k.size selects
-    the exact circle expansion (d = 2) or grid quadrature (d = 3).
+    (``_check_equilibrium``); k must have shape (2,).
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.real <= -1.0):
         raise ValueError("need Re z > -1")
     k = np.asarray(k, dtype=float)
-    if k.shape != J.shape:
-        raise ValueError(f"wavenumber must have shape {J.shape}")
-    return _assemble(_integrals(zs, k, J), mu, k.size)
+    if k.shape != (2,):
+        raise ValueError(f"wavenumber must have shape (2,), got {k.shape}")
+    return _assemble(_integrals(zs, k, J), mu)
 
 
 @dataclass(frozen=True)
@@ -414,14 +383,14 @@ class DispersionCoefficients:
 
 def dispersion_coefficients(z: complex, k, mu: float,
                             J=None) -> DispersionCoefficients:
-    """Evaluate (a, b, bbar, A, h) at a single (z, k).
+    """Evaluate (a, b, bbar, A, h) at a single (z, k), k of shape (2,).
 
     Raises SingularOperatorError when Id - mu A is numerically singular
     (the elimination of J~ is then meaningless).
     """
     k = np.asarray(k, dtype=float)
     out = _coefficient_batch(np.array([z]), k, mu,
-                             _check_equilibrium(mu, J, k.size))
+                             _check_equilibrium(mu, J, 2))
     sigma = float(out["sigma_min"][0])
     if not sigma > 1e-12:
         raise SingularOperatorError(
@@ -548,26 +517,53 @@ def bound_budget(gamma: float, d: int, eps: float | None = None) -> BoundBudget:
 # sweeps over the (z, k) region
 # ---------------------------------------------------------------------------
 
-def lattice_wavenumbers(gamma: float, k_max: float, half: bool = True) -> np.ndarray:
-    """Nonzero wavenumbers k = gamma m, m integer, 0 < |k| <= k_max.
+def _row_extents(gamma: float, k_max: float):
+    """For each row m2 = 0, 1, ..., floor(k_max / gamma) of the lattice, the
+    largest m1 >= 0 with |(m1, m2)| gamma <= k_max (+ 1e-9), or -1 when
+    there is none; the test is monotone in |m1|."""
+    ratio = k_max / gamma
+    mmax = int(math.floor(ratio))
 
-    With half=True only one of each +-k pair is kept: the coefficients at -k
-    are the complex conjugates of those at conj(z), so any sweep whose z grid
-    is symmetric about the real axis loses nothing.
+    def inside(m1: int, m2: int) -> bool:
+        return math.hypot(m1, m2) * gamma <= k_max + 1e-9
+
+    for m2 in range(mmax + 1):
+        m1 = min(mmax, int(math.sqrt((ratio - m2) * (ratio + m2))))
+        while m1 < mmax and inside(m1 + 1, m2):
+            m1 += 1
+        while m1 >= 0 and not inside(m1, m2):
+            m1 -= 1
+        yield m1
+
+
+def _lattice_size(gamma: float, k_max: float, limit: int) -> int:
+    """len(lattice_wavenumbers(gamma, k_max)), counted from the row extents
+    without building the lattice; any size above limit may be returned as
+    a larger number."""
+    # the m2 = 0 row alone holds floor(k_max / gamma) wavenumbers
+    if k_max / gamma > limit:
+        return limit + 1
+    count = 0
+    for m2, m1 in enumerate(_row_extents(gamma, k_max)):
+        # the half lattice keeps m1 > 0 on the row m2 = 0, every m1 above it
+        count += max(2 * m1 + 1, 0) if m2 else m1
+        if count > limit:
+            break
+    return count
+
+
+def lattice_wavenumbers(gamma: float, k_max: float) -> np.ndarray:
+    """Nonzero wavenumbers k = gamma m, m integer, 0 < |k| <= k_max, one of
+    each +-k pair: the coefficients at -k are the complex conjugates of
+    those at conj(z), so any sweep whose z grid is symmetric about the real
+    axis loses nothing.  Row by row in m2 >= 0, m1 ascending, each row as
+    wide as ``_row_extents``, which ``_lattice_size`` counts.
     """
     if gamma <= 0 or k_max <= 0:
         raise ValueError("gamma and k_max must be positive")
-    mmax = int(math.floor(k_max / gamma))
-    out = []
-    for m2 in range(-mmax, mmax + 1):
-        for m1 in range(-mmax, mmax + 1):
-            if m1 == 0 and m2 == 0:
-                continue
-            if half and (m2 < 0 or (m2 == 0 and m1 < 0)):
-                continue
-            if math.hypot(m1, m2) * gamma <= k_max + 1e-9:
-                out.append((gamma * m1, gamma * m2))
-    return np.array(out, dtype=float).reshape(-1, 2)
+    m = [(m1, m2) for m2, e in enumerate(_row_extents(gamma, k_max))
+         for m1 in range(-e if m2 else 1, e + 1)]
+    return gamma * np.array(m, dtype=float).reshape(-1, 2)
 
 
 def _nonempty_lattice(gamma: float, k_max: float) -> np.ndarray:
@@ -579,15 +575,29 @@ def _nonempty_lattice(gamma: float, k_max: float) -> np.ndarray:
     return k
 
 
+def _axis_size(lo: float, hi: float, step: float, limit: int) -> int:
+    """Length of one axis of default_z_grid, np.arange(lo, hi + 1e-12, step)
+    (entry i >= 2 is lo + i ((lo + step) - lo)) plus hi when the last entry
+    falls short; any size above limit is returned as limit + 1."""
+    n = (hi + 1e-12 - lo) / step
+    if not n <= limit:
+        return limit + 1
+    n = math.ceil(n)
+    last = lo + step if n == 2 else lo + (n - 1) * ((lo + step) - lo)
+    return n + (last < hi - 1e-12)
+
+
 def default_z_grid(delta: float = DEFAULT_DELTA, re_max: float = 2.0,
                    im_max: float = 50.0, step: float = 0.25) -> np.ndarray:
-    """Rectangle Re z in [-delta, re_max], |Im z| <= im_max, spacing step."""
-    re = np.arange(-delta, re_max + 1e-12, step)
-    if re[-1] < re_max - 1e-12:
-        re = np.append(re, re_max)
-    im = np.arange(-im_max, im_max + 1e-12, step)
-    if im[-1] < im_max - 1e-12:
-        im = np.append(im, im_max)
+    """Rectangle Re z in [-delta, re_max], |Im z| <= im_max, spacing step.
+
+    Each axis is np.arange(lo, hi + 1e-12, step), then hi if ``_axis_size``
+    counts it."""
+    def axis(lo: float, hi: float) -> np.ndarray:
+        size = _axis_size(lo, hi, step, math.inf)
+        return np.append(np.arange(lo, hi + 1e-12, step), hi)[:size]
+
+    re, im = axis(-delta, re_max), axis(-im_max, im_max)
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
@@ -597,9 +607,8 @@ class SweepResult:
 
     mu: float
     gamma: float
-    d: int
     z_values: np.ndarray          # (nz,)
-    k_vectors: np.ndarray         # (nk, d)
+    k_vectors: np.ndarray         # (nk, 2)
     re_h: np.ndarray              # (nk, nz)
     sigma_min: np.ndarray         # (nk, nz)
     min_re_h: float
@@ -609,25 +618,11 @@ class SweepResult:
     argmin_sigma: tuple
 
 
-def _sweep(mu: float, J, z_values, k_vectors):
-    """(z, k, Re h, sigma_min) over the product of z_values and the rows of
-    k_vectors; Re h and sigma_min have shape (nk, nz), k-major."""
-    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
-    k = np.atleast_2d(np.asarray(k_vectors, dtype=float))
-    J = _check_equilibrium(mu, J, k.shape[1])
-    re_h = np.empty((k.shape[0], z.size))
-    sig = np.empty_like(re_h)
-    for i, kv in enumerate(k):
-        out = _coefficient_batch(z, kv, mu, J)
-        re_h[i] = out["h"].real
-        sig[i] = out["sigma_min"]
-    return z, k, re_h, sig
-
-
-def dispersion_sweep(mu: float, gamma: float, d: int = 2, *, J=None,
-                     z_values=None, k_vectors=None, k_max: float | None = None,
+def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
+                     k_vectors=None, k_max: float | None = None,
                      delta: float = DEFAULT_DELTA) -> SweepResult:
-    """Evaluate h and sigma_min(Id - mu A) over the standard region.
+    """Evaluate h and sigma_min(Id - mu A) over the product of the z values
+    and the wavenumbers (rows of shape (2,)); re_h and sigma_min are k-major.
 
     Defaults reproduce the certification sweep: z on the step-0.25 rectangle
     [-delta, 2] x [-50i, 50i], k on the half lattice 0 < |k| <= 5 gamma.
@@ -637,52 +632,27 @@ def dispersion_sweep(mu: float, gamma: float, d: int = 2, *, J=None,
     if k_vectors is None:
         k_vectors = _nonempty_lattice(
             gamma, 5.0 * gamma if k_max is None else k_max)
-    if np.shape(k_vectors)[-1] != d:
-        raise ValueError(f"wavenumbers must have {d} components")
-    z, k, re_h, sig = _sweep(mu, J, z_values, k_vectors)
+    if np.shape(k_vectors)[-1:] != (2,):
+        raise ValueError(f"wavenumbers must have shape (2,), got "
+                         f"{np.shape(k_vectors)}")
+    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
+    k = np.atleast_2d(np.asarray(k_vectors, dtype=float))
+    J = _check_equilibrium(mu, J, 2)
+    re_h = np.empty((k.shape[0], z.size))
+    sig = np.empty_like(re_h)
+    for i, kv in enumerate(k):
+        out = _coefficient_batch(z, kv, mu, J)
+        re_h[i] = out["h"].real
+        sig[i] = out["sigma_min"]
     ih = np.unravel_index(np.argmin(re_h), re_h.shape)
     isg = np.unravel_index(np.argmin(sig), sig.shape)
     return SweepResult(
-        mu=float(mu), gamma=float(gamma), d=d, z_values=z, k_vectors=k,
+        mu=float(mu), gamma=float(gamma), z_values=z, k_vectors=k,
         re_h=re_h, sigma_min=sig,
         min_re_h=float(re_h[ih]), min_sigma=float(sig[isg]),
         max_inv_norm=float(1.0 / sig[isg]),
         argmin_h=(complex(z[ih[1]]), k[ih[0]].copy()),
         argmin_sigma=(complex(z[isg[1]]), k[isg[0]].copy()))
-
-
-@dataclass(frozen=True)
-class InvertibilityReport:
-    """Smallest singular value of Id - mu A over a sweep."""
-
-    mu: float
-    d: int
-    n_points: int
-    min_singular: float
-    max_inv_norm: float
-    argmin: tuple
-    singular_points: tuple
-
-    @property
-    def invertible(self) -> bool:
-        return self.min_singular > 0.0 and not self.singular_points
-
-
-def invertibility_sweep(mu: float, J, z_values, k_vectors,
-                        singular_tol: float = 1e-10) -> InvertibilityReport:
-    """Check Id - mu A over a (z, k) product set.
-
-    Points with sigma_min <= singular_tol are collected as singular, k-major.
-    """
-    z, k, _, sig = _sweep(mu, J, z_values, k_vectors)
-    ik, iz = np.unravel_index(np.argmin(sig), sig.shape)
-    best = float(sig[ik, iz])
-    bad = tuple((complex(z[j]), k[i].copy())
-                for i, j in zip(*np.nonzero(sig <= singular_tol)))
-    return InvertibilityReport(mu=float(mu), d=k.shape[1], n_points=sig.size,
-                               min_singular=best, max_inv_norm=1.0 / best,
-                               argmin=(complex(z[iz]), k[ik].copy()),
-                               singular_points=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +693,6 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
     f_tilde at large |k| needs a finer grid than representing the datum does.
     """
     k = np.asarray(k, dtype=float)
-    if k.shape != (2,):
-        raise ValueError(f"fl_solve is implemented for d = 2 only, got k of "
-                         f"shape {k.shape}")
     f0_hat = np.asarray(f0_hat, dtype=complex)
     if grid is None:
         grid = build_sphere_grid(2, f0_hat.size)
@@ -779,7 +746,7 @@ def _symbols(zs: np.ndarray, k: np.ndarray, mu: float,
     det = det(Id - mu A) and D = (1 - a) det - mu bbar^T adj(Id - mu A) b
     = h det.  Neither divides, so both stay finite where det = 0.
     """
-    a, bvec, bbar, A = _split(_integrals(zs, k, J), 2)
+    a, bvec, bbar, A = _split(_integrals(zs, k, J))
     det, adjb = _det_adjugate_2d(np.eye(2)[None] - mu * A, bvec)
     return np.stack([(1.0 - a) * det - mu * np.einsum("ij,ij->i", bbar, adjb),
                      det])
@@ -925,12 +892,11 @@ def _locate(fun, count: int, box: tuple) -> list:
     return roots
 
 
-def abscissa_candidates(mu: float, gamma: float, d: int = 2,
-                        k_max: float | None = None, *,
+def abscissa_candidates(mu: float, gamma: float, k_max: float | None = None, *,
                         delta: float = DEFAULT_DELTA) -> dict:
     """Decay-rate candidates of the linearized dynamics.
 
-    k = 0: the nonzero eigenvalues of the flux relaxation matrix (for mu > d
+    k = 0: the nonzero eigenvalues of the flux relaxation matrix (for mu > 2
     the zero eigenvalues along J-perp are conserved directions, not decay
     rates) and the -1 relaxation of the moment-free remainder.
 
@@ -950,17 +916,13 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
     Returns the k = 0 rates, the located zeros ("symbol_roots"), all
     candidates, the rate -max(candidates), and per k ("contours") the zero
     counts, the located zeros and min |f| on the contour of D and det.
-    Only d = 2 is implemented.
     """
-    if d != 2:
-        raise ValueError(f"abscissa_candidates is implemented for d = 2 only, "
-                         f"got d = {d}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if k_max is None:
         k_max = 3.0 * gamma
-    cands: list[float] = [-1.0, lambda_J(mu, d) if mu > d else mu / d - 1.0]
-    J = project_to_manifold(mu, np.eye(d)[0])
+    cands: list[float] = [-1.0, lambda_J(mu, 2) if mu > 2 else mu / 2 - 1.0]
+    J = project_to_manifold(mu, np.array([1.0, 0.0]))
     p = _majorant(mu, J)
     # |f - 1| <= 1/2 wherever z is at least ell from the singular segment
     # {-1 + it : |t| <= |k|}, 1/ell the one positive root of p - 3/2 (its
@@ -986,14 +948,13 @@ def abscissa_candidates(mu: float, gamma: float, d: int = 2,
             "min_abs": dict(zip(_SYMBOLS, map(float, margins))),
             "roots": found})
     cands.extend(r.real for r in roots)
-    return {"mu": float(mu), "gamma": float(gamma), "d": d, "k_max": float(k_max),
+    return {"mu": float(mu), "gamma": float(gamma), "k_max": float(k_max),
             "delta": float(delta), "re_max": re_max,
             "k0_rates": cands[:2], "symbol_roots": roots, "contours": contours,
             "candidates": cands, "rate": -max(cands)}
 
 
-def spectral_abscissa(mu: float, gamma: float, d: int = 2,
-                      k_max: float | None = None, *,
+def spectral_abscissa(mu: float, gamma: float, k_max: float | None = None, *,
                       delta: float = DEFAULT_DELTA) -> float:
     """Predicted slowest decay rate -max Re of the candidate spectrum."""
-    return float(abscissa_candidates(mu, gamma, d, k_max, delta=delta)["rate"])
+    return float(abscissa_candidates(mu, gamma, k_max, delta=delta)["rate"])

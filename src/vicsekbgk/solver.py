@@ -83,7 +83,6 @@ __all__ = [
     "EntropyFit",
     "validate",
     "init_field",
-    "equilibrium_flux",
     "step",
     "run",
     "regularized_flux",
@@ -229,12 +228,8 @@ def validate(config: SolverConfig) -> None:
 
 
 def _equilibrium_flux(mu: float, angle: float) -> np.ndarray:
-    return project_to_manifold(mu, np.array([math.cos(angle), math.sin(angle)]))
-
-
-def equilibrium_flux(config: SolverConfig) -> np.ndarray:
     """The background flux J_eq: zero for mu <= 2, on-branch otherwise."""
-    return _equilibrium_flux(config.mu, config.jeq_angle)
+    return project_to_manifold(mu, np.array([math.cos(angle), math.sin(angle)]))
 
 
 def _moment_weights(grid: SphereGrid) -> np.ndarray:

@@ -72,7 +72,7 @@ def default_sweeps():
     out = {}
     for mu in (1.0, 1.9, 2.05):
         J = solve_L(mu, 2) * _unit(2) if mu > 2.0 else None
-        out[mu] = dispersion_sweep(mu, 10.0, 2, J=J)
+        out[mu] = dispersion_sweep(mu, 10.0, J=J)
     return out
 
 
@@ -198,7 +198,7 @@ def test_criterion_07_operator_invertibility(capsys, default_sweeps):
     ok = True
     for mu, s in default_sweeps.items():
         J = solve_L(mu, 2) * _unit(2) if mu > 2.0 else None
-        fine = dispersion_sweep(mu, 10.0, 2, J=J, z_values=fine_grid)
+        fine = dispersion_sweep(mu, 10.0, J=J, z_values=fine_grid)
         rel = abs(fine.min_sigma - s.min_sigma) / s.min_sigma
         ok &= s.min_sigma > 0.0 and rel <= 0.05
         details.append(f"mu={mu}: min sigma {s.min_sigma:.4f}, "

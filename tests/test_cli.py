@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import vicsekbgk.cli as cli
+import vicsekbgk.linstab as linstab
 from vicsekbgk.solver import SolverAbort
 
 
@@ -364,11 +366,37 @@ def test_import_leaves_scipy_optimize_and_linalg_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _lattice_wavenumbers_double_loop(gamma, k_max):
+    """linstab.lattice_wavenumbers as it was: every m in the square
+    |m1|, |m2| <= k_max / gamma, tested one by one, m2-major."""
+    mmax = int(math.floor(k_max / gamma))
+    out = []
+    for m2 in range(-mmax, mmax + 1):
+        for m1 in range(-mmax, mmax + 1):
+            if m2 < 0 or (m2 == 0 and m1 <= 0):
+                continue
+            if math.hypot(m1, m2) * gamma <= k_max + 1e-9:
+                out.append((gamma * m1, gamma * m2))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def _default_z_grid_arange(delta, re_max, im_max, step):
+    """linstab.default_z_grid as it was: np.arange sizes each axis."""
+    re = np.arange(-delta, re_max + 1e-12, step)
+    if re[-1] < re_max - 1e-12:
+        re = np.append(re, re_max)
+    im = np.arange(-im_max, im_max + 1e-12, step)
+    if im[-1] < im_max - 1e-12:
+        im = np.append(im, im_max)
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
 def test_dispersion_sweep_cells_count_the_built_grids():
-    # the arithmetic count equals the size of the lattice and grid the run
-    # would build, with ends on and off the grid spacing
-    from vicsekbgk.linstab import default_z_grid, lattice_wavenumbers
+    # the linstab counters equal the size of the lattice and grid the run
+    # would build, with ends on and off the grid spacing, and the builders
+    # sized by them reproduce the old ones bit for bit
     assert cli._sweep_cells(cli.resolve_config("dispersion", None, [])) == 160_400
+    big = 10 ** 9
     rng = np.random.default_rng(7)
     for i in range(400):
         step = float(10.0 ** rng.uniform(-1.5, 0.5))
@@ -384,9 +412,16 @@ def test_dispersion_sweep_cells_count_the_built_grids():
         if i % 5 == 0:
             c["k_max"] = None
         k_max = 5.0 * gamma if c["k_max"] is None else c["k_max"]
-        want = (len(lattice_wavenumbers(gamma, k_max))
-                * default_z_grid(c["delta"], c["re_max"], c["im_max"], step).size)
-        assert cli._sweep_cells(c) == want, c
+        ks = _lattice_wavenumbers_double_loop(gamma, k_max)
+        zs = _default_z_grid_arange(c["delta"], c["re_max"], c["im_max"], step)
+        assert linstab.lattice_wavenumbers(gamma, k_max).tobytes() == ks.tobytes(), c
+        assert linstab.default_z_grid(c["delta"], c["re_max"], c["im_max"],
+                                      step).tobytes() == zs.tobytes(), c
+        assert linstab._lattice_size(gamma, k_max, big) == len(ks), c
+        assert (linstab._axis_size(-c["delta"], c["re_max"], step, big)
+                * linstab._axis_size(-c["im_max"], c["im_max"], step, big)
+                == zs.size), c
+        assert cli._sweep_cells(c) == len(ks) * zs.size, c
 
 
 def test_dispersion_sweep_too_large_exits_2(tmp_path, capsys):
@@ -424,3 +459,25 @@ def test_linear_decay_k_max_below_the_lattice_exits_2(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
     # the shortest wavenumber itself is a valid k_max
     cli.resolve_config("linear-decay", None, ["k_max=10"])
+
+
+def test_linear_decay_k_max_with_too_many_wavenumbers_exits_2(tmp_path, capsys,
+                                                              monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "spectral_abscissa", no_work)
+    monkeypatch.setattr(linstab, "lattice_wavenumbers", no_work)
+    start = time.monotonic()
+    # at gamma = 10: 1.6e10 wavenumbers, and 2,512 (one ring past the cap)
+    for k_max in ("1e6", "400"):
+        rc = cli.main(["linear-decay", "--set", f"k_max={k_max}", "--quiet",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "invalid value for k_max" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    assert time.monotonic() - start < 1.0
+    # 2,498 wavenumbers are within the cap
+    assert linstab._lattice_size(10.0, 399.0, 10 ** 9) == 2_498
+    cli.resolve_config("linear-decay", None, ["k_max=399"])

@@ -23,15 +23,14 @@ from vicsekbgk.linstab import (
     dispersion_sweep,
     fl_solve,
     flux_relaxation_matrix,
-    invertibility_sweep,
     lambda_J,
     lattice_wavenumbers,
     phi0,
     phi2,
     spectral_abscissa,
 )
-from vicsekbgk.sphere import build_sphere_grid, gauss_legendre, von_mises, \
-    von_mises_gradient
+from vicsekbgk.sphere import auto_node_count, build_sphere_grid, gauss_legendre, \
+    von_mises, von_mises_gradient
 
 
 def c1_symmetrized(z, kmag: float, d: int, n: int | None = None):
@@ -399,18 +398,36 @@ def test_dispersion_singular_operator():
     assert info.value.sigma_min <= 1e-12
 
 
+def _grid_coefficients(z, k, mu, J):
+    """(a, b, A, h) by quadrature of the equilibrium columns on a sphere grid
+    that resolves |J| and |k|: the grid path the coefficients once took for
+    d = 3, kept as the oracle of the d = 3 axis coefficients."""
+    d = k.size
+    grid = build_sphere_grid(d, max(auto_node_count(float(np.linalg.norm(J))),
+                                    math.ceil(15.0 * np.linalg.norm(k))))
+    kern = grid.weights / (1.0 + z + 1j * (grid.nodes @ k))
+    M = von_mises(J, grid)
+    G = von_mises_gradient(J, grid)
+    a = M @ kern
+    b = (grid.nodes.T * M) @ kern
+    A = np.einsum("ni,jn,n->ij", grid.nodes, G, kern)
+    h = 1.0 - a - mu * (G @ kern) @ np.linalg.solve(np.eye(d) - mu * A, b)
+    return a, b, A, h
+
+
 def test_dispersion_d3_grid_path():
     # grid quadrature (d = 3) against the axis reduction at an axis-aligned k
     mu = 1.2
     z = 0.3 + 4.0j
     kmag = 6.0
-    coeff = dispersion_coefficients(z, np.array([0.0, 0.0, kmag]), mu)
+    a, b, A, h = _grid_coefficients(z, np.array([0.0, 0.0, kmag]), mu,
+                                    np.zeros(3))
     c0, c1, c2 = axis_coefficients(z, kmag, 3)
-    assert abs(coeff.a - c0) < 1e-11
-    assert abs(coeff.b[2] - c1) < 1e-11
-    assert abs(coeff.A[2, 2] - c2) < 1e-11
+    assert abs(a - c0) < 1e-11
+    assert abs(b[2] - c1) < 1e-11
+    assert abs(A[2, 2] - c2) < 1e-11
     href = 1.0 - c0 - mu * c1 * c1 / (1.0 - mu * c2)
-    assert abs(coeff.h - href) < 1e-10
+    assert abs(h - href) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +443,12 @@ def test_lattice_wavenumbers():
     # half lattice keeps exactly one of each +-k pair
     seen = {tuple(np.round(k, 9)) for k in ks}
     assert not any(tuple(np.round(-k, 9)) in seen for k in ks)
-    full = lattice_wavenumbers(10.0, 30.0, half=False)
-    assert full.shape[0] == 2 * ks.shape[0]
+    # 28 nonzero m with |m| <= 3, one of each pair
+    assert ks.shape[0] == 14
 
 
 def test_lattice_without_a_wavenumber_has_two_columns():
     assert lattice_wavenumbers(10.0, 5.0).shape == (0, 2)
-    assert lattice_wavenumbers(10.0, 5.0, half=False).shape == (0, 2)
 
 
 def test_dispersion_sweep_names_k_max_below_the_lattice():
@@ -444,7 +460,7 @@ def test_dispersion_sweep_names_k_max_below_the_lattice():
 def test_abscissa_names_k_max_below_the_lattice(fn):
     # it returned the k = 0 rate 0.25 without checking any k
     with pytest.raises(ValueError, match="k_max"):
-        fn(1.5, 10.0, 2, 5.0)
+        fn(1.5, 10.0, 5.0)
 
 
 def test_default_z_grid():
@@ -457,26 +473,24 @@ def test_default_z_grid():
 def test_invertibility_sweep_disordered():
     zs = default_z_grid(delta=0.05, im_max=10.0)
     ks = lattice_wavenumbers(10.0, 20.0)
-    report = invertibility_sweep(1.0, np.zeros(2), zs, ks)
-    assert report.invertible
-    assert report.min_singular > 0.5
-    assert report.n_points == zs.size * ks.shape[0]
-    assert not report.singular_points
+    sweep = dispersion_sweep(1.0, 10.0, J=np.zeros(2), z_values=zs, k_vectors=ks)
+    assert sweep.min_sigma > 0.5
+    assert sweep.sigma_min.shape == (ks.shape[0], zs.size)
+    assert sweep.max_inv_norm == 1.0 / sweep.min_sigma
 
 
 def test_invertibility_trivial_at_large_real_part():
-    report = invertibility_sweep(1.0, np.zeros(2), [1000.0 + 3.0j],
-                                 np.array([[10.0, 0.0]]))
-    assert report.min_singular > 1.0 - 2.0 / 1001.0
+    sweep = dispersion_sweep(1.0, 10.0, J=np.zeros(2), z_values=[1000.0 + 3.0j],
+                             k_vectors=np.array([[10.0, 0.0]]))
+    assert sweep.min_sigma > 1.0 - 2.0 / 1001.0
 
 
 def test_invertibility_refinement_stability():
     ks = lattice_wavenumbers(10.0, 20.0)
-    coarse = invertibility_sweep(1.0, np.zeros(2),
-                                 default_z_grid(im_max=10.0, step=0.25), ks)
-    fine = invertibility_sweep(1.0, np.zeros(2),
-                               default_z_grid(im_max=10.0, step=0.125), ks)
-    assert abs(fine.min_singular - coarse.min_singular) <= 0.05 * coarse.min_singular
+    coarse, fine = (dispersion_sweep(1.0, 10.0, J=np.zeros(2), k_vectors=ks,
+                                     z_values=default_z_grid(im_max=10.0, step=step))
+                    for step in (0.25, 0.125))
+    assert abs(fine.min_sigma - coarse.min_sigma) <= 0.05 * coarse.min_sigma
 
 
 def test_dispersion_sweep_structure():
@@ -565,17 +579,17 @@ def test_fl_solve_at_conserved_mode():
 # ---------------------------------------------------------------------------
 
 def test_spectral_abscissa_disordered():
-    assert abs(spectral_abscissa(1.5, 10.0, 2, k_max=20.0) - 0.25) < 1e-12
-    assert abs(spectral_abscissa(1.0, 10.0, 2, k_max=20.0) - 0.5) < 1e-12
+    assert abs(spectral_abscissa(1.5, 10.0, k_max=20.0) - 0.25) < 1e-12
+    assert abs(spectral_abscissa(1.0, 10.0, k_max=20.0) - 0.5) < 1e-12
 
 
 def test_spectral_abscissa_ordered():
-    rate = spectral_abscissa(2.2, 10.0, 2, k_max=20.0)
+    rate = spectral_abscissa(2.2, 10.0, k_max=20.0)
     assert abs(rate - (-lambda_J(2.2, 2))) < 1e-9
 
 
 def test_abscissa_candidates_structure():
-    out = abscissa_candidates(1.5, 10.0, 2, k_max=10.0)
+    out = abscissa_candidates(1.5, 10.0, k_max=10.0)
     assert out["k0_rates"] == [-1.0, -0.25]
     assert out["rate"] == -max(out["candidates"])
     for r in out["symbol_roots"]:
@@ -682,8 +696,8 @@ def test_fourier_columns_match_bessel_ratio_oracle(mu, angle, tol):
 
 
 def _invertibility_loop(mu, J, z_values, k_vectors, singular_tol=1e-10):
-    """invertibility_sweep as it was: one loop over k that keeps the first
-    strict minimum and collects singular points k-major."""
+    """The per-k invertibility loop the sweep replaced: it keeps the first
+    strict minimum of sigma_min and collects singular points k-major."""
     z_values = np.asarray(z_values, dtype=complex)
     k_vectors = np.atleast_2d(np.asarray(k_vectors, dtype=float))
     J = np.zeros(2) if J is None else np.asarray(J, dtype=float)
@@ -710,14 +724,16 @@ def _invertibility_loop(mu, J, z_values, k_vectors, singular_tol=1e-10):
     ([0.2, -0.5 + 0.1j, 1.0, -0.5 - 0.1j], [[10.0, 0.0], [0.0, 0.0]], 1e-10, 0),
 ])
 def test_invertibility_sweep_matches_loop_oracle(zs, ks, tol, n_singular):
-    report = invertibility_sweep(1.0, None, zs, ks, singular_tol=tol)
+    sweep = dispersion_sweep(1.0, 10.0, z_values=zs, k_vectors=ks)
     best, arg, bad = _invertibility_loop(1.0, None, zs, ks, singular_tol=tol)
-    assert report.min_singular == best
-    assert report.argmin[0] == arg[0] and np.array_equal(report.argmin[1], arg[1])
-    assert len(report.singular_points) == len(bad) == n_singular
-    for (z1, k1), (z2, k2) in zip(report.singular_points, bad):
-        assert z1 == z2 and np.array_equal(k1, k2)
-    assert report.invertible == (n_singular == 0)
+    assert sweep.min_sigma == best
+    z, k = sweep.argmin_sigma
+    assert z == arg[0] and np.array_equal(k, arg[1])
+    # sigma_min is k-major: its small entries come in the loop's order
+    small = np.argwhere(sweep.sigma_min <= tol)
+    assert len(small) == len(bad) == n_singular
+    for (i, j), (z2, k2) in zip(small, bad):
+        assert sweep.z_values[j] == z2 and np.array_equal(sweep.k_vectors[i], k2)
 
 
 def test_sweeps_check_the_equilibrium_once(monkeypatch):
@@ -730,8 +746,10 @@ def test_sweeps_check_the_equilibrium_once(monkeypatch):
 
     monkeypatch.setattr(linstab, "_check_equilibrium", counting)
     zs = default_z_grid(im_max=2.0, step=0.5)
-    dispersion_sweep(1.5, 10.0, z_values=zs, k_max=30.0)
-    invertibility_sweep(1.5, None, zs, lattice_wavenumbers(10.0, 30.0))
+    sweep = dispersion_sweep(1.5, 10.0, z_values=zs, k_max=30.0)
+    assert len(calls) == 1
+    assert sweep.k_vectors.shape[0] == 14
+    dispersion_sweep(1.5, 10.0, z_values=zs, k_vectors=lattice_wavenumbers(10.0, 30.0))
     assert len(calls) == 2
 
 
@@ -743,9 +761,26 @@ def test_fl_solve_rejects_3d_wavenumber():
 
 
 def test_dispersion_sweep_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dispersion_sweep(1.0, 10.0, d=3, z_values=default_z_grid(im_max=1.0),
-                         k_max=10.0)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        dispersion_sweep(1.0, 10.0, z_values=default_z_grid(im_max=1.0),
+                         k_vectors=[[10.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("J", [None, np.zeros(3)])
+@pytest.mark.parametrize("fn", [
+    lambda J: dispersion_coefficients(0.3 + 4.0j, [0.0, 0.0, 6.0], 1.2, J),
+    lambda J: dispersion_sweep(1.2, 10.0, J=J, z_values=[0.3 + 4.0j],
+                               k_vectors=[[0.0, 0.0, 6.0]]),
+], ids=["dispersion_coefficients", "dispersion_sweep"])
+def test_3d_wavenumber_is_rejected_before_work(fn, J, monkeypatch):
+    # the d = 2 expansion would use only k[:2]
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(linstab, "_integrals", no_work)
+    monkeypatch.setattr(linstab, "_column_spectrum", no_work)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        fn(J)
 
 
 @pytest.mark.parametrize("mu, gamma, n_D, n_det, rate", [
@@ -783,17 +818,6 @@ def test_abscissa_emits_no_runtime_warning():
         warnings.simplefilter("always")
         abscissa_candidates(2.5, 0.5)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("fn", [abscissa_candidates, spectral_abscissa])
-def test_abscissa_rejects_d_other_than_2_before_work(fn, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(linstab, "project_to_manifold", no_work)
-    monkeypatch.setattr(linstab, "lambda_J", no_work)
-    with pytest.raises(ValueError, match="d = 2"):
-        fn(3.5, 10.0, 3, 10.0)
 
 
 @pytest.mark.parametrize("mu", [1.5, 2.5, 3.5])

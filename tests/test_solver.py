@@ -19,7 +19,6 @@ from vicsekbgk.solver import (
     diagnostics,
     dist_to_manifold,
     entropy_functional,
-    equilibrium_flux,
     field_moments,
     fit_decay_rate,
     fit_entropy_growth,
@@ -76,9 +75,8 @@ def test_validation_errors():
 
 
 def test_equilibrium_flux():
-    assert np.all(equilibrium_flux(SolverConfig(mu=1.5)) == 0.0)
-    cfg = SolverConfig(mu=2.5, jeq_angle=0.7)
-    J = equilibrium_flux(cfg)
+    assert np.all(solver._equilibrium_flux(1.5, 0.0) == 0.0)
+    J = solver._equilibrium_flux(2.5, 0.7)
     L = solve_L(2.5, 2)
     assert np.max(np.abs(J - L * np.array([math.cos(0.7), math.sin(0.7)]))) < 1e-14
 
