@@ -19,7 +19,8 @@ solver.validate, the one place the rules on its fields are stated; this
 module checks only the keys that never reach the solver (fit windows, sweep
 controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells and a
 linear-decay k_max whose lattice holds more than _MAX_ABSCISSA_WAVENUMBERS
-are rejected from their arithmetic size).  Each run writes its
+or sums |k| above _MAX_ABSCISSA_LENGTH are rejected from their arithmetic
+size).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically.  A run that fails before writing any artifact (exit 1) still
@@ -51,6 +52,7 @@ from .equilibria import (
 )
 from .linstab import (
     _axis_size,
+    _lattice_length,
     _lattice_size,
     axis_coefficients,
     bound_budget,
@@ -238,12 +240,19 @@ def _check_types(defaults: dict, c: dict, prefix: str = "") -> None:
 _MAX_SWEEP_CELLS = 4_000_000
 
 # The predicted rate of linear-decay counts the zeros for each lattice k on a
-# contour whose length grows like |k|: at mu 1.5, gamma 10 on a 2-vCPU Xeon it
-# took 5 ms per k at k_max 30 (14 wavenumbers), 8 ms at 200 (628) and 20 ms
-# at 400 (2,512; 51 s in all), with peak RSS below 45 MB.  Time is the limit,
-# not memory: 2,500 wavenumbers keep the prediction near a minute at gamma
-# 10, the length of the longest solver experiment.
+# contour whose length grows like |k|, so it costs a fixed time per k plus a
+# time per unit of |k|.  At mu 1.5 on a 2-vCPU Xeon one k took ~4 ms at |k|
+# 10-30, 36 ms at |k| 400 and 279 ms at |k| 4,000.  Time is the limit, not
+# memory, so both parts are capped: the number of wavenumbers and their
+# summed |k| (the contour length).  At gamma 10 both caps fall between k_max
+# 399 and 400; k_max 400 (2,512 wavenumbers, summed |k| 669,900) took 51 s
+# with peak RSS below 45 MB.  At gamma 100 the length cap binds first: the
+# largest k_max it passes, 1,844 (534 wavenumbers), took 36 s with peak RSS
+# 51 MB.  So the prediction stays near a minute, the length of the longest
+# solver experiment, at gamma 10 and 100; below gamma 10 the wavenumber cap
+# binds.
 _MAX_ABSCISSA_WAVENUMBERS = 2_500
+_MAX_ABSCISSA_LENGTH = 665_000.0
 
 
 def _sweep_cells(c: dict) -> int:
@@ -313,10 +322,12 @@ def validate_config(experiment: str, c: dict) -> None:
             raise ConfigError(str(exc)) from None
         if experiment == "linear-decay" and c["k_max"] is not None:
             # the predicted rate needs a k != 0 on the lattice gamma Z^2
-            cap = _MAX_ABSCISSA_WAVENUMBERS
-            _need(0 < _lattice_size(c["gamma"], c["k_max"], cap) <= cap, "k_max",
+            cap, length = _MAX_ABSCISSA_WAVENUMBERS, _MAX_ABSCISSA_LENGTH
+            _need(0 < _lattice_size(c["gamma"], c["k_max"], cap) <= cap
+                  and _lattice_length(c["gamma"], c["k_max"]) <= length, "k_max",
                   "must be null or >= gamma, the shortest wavenumber, and "
-                  f"reach at most {cap} lattice wavenumbers")
+                  f"reach at most {cap} lattice wavenumbers of summed |k| at "
+                  f"most {length:g}")
     else:  # pragma: no cover - guarded by argparse choices
         raise ConfigError(f"unknown experiment {experiment!r}")
 

@@ -552,6 +552,16 @@ def _lattice_size(gamma: float, k_max: float, limit: int) -> int:
     return count
 
 
+def _lattice_length(gamma: float, k_max: float) -> float:
+    """The sum of |k| over lattice_wavenumbers(gamma, k_max), counted from
+    the row extents without building the lattice; its cost is one numpy
+    pass per row, so bound the lattice with ``_lattice_size`` first."""
+    total = 0.0
+    for m2, e in enumerate(_row_extents(gamma, k_max)):
+        total += float(np.hypot(np.arange(-e if m2 else 1, e + 1), m2).sum())
+    return gamma * total
+
+
 def lattice_wavenumbers(gamma: float, k_max: float) -> np.ndarray:
     """Nonzero wavenumbers k = gamma m, m integer, 0 < |k| <= k_max, one of
     each +-k pair: the coefficients at -k are the complex conjugates of

@@ -694,22 +694,63 @@ def fit_entropy_growth(series: DiagnosticsSeries) -> EntropyFit:
 # on-disk formats
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK = 4096      # rows formatted by one %-operation of _write_csv
+# rows formatted by one %-operation of _write_csv, and the most distinct
+# values a column may hold to be formatted once per value
+_CSV_BLOCK = 4096
+
+
+def _distinct_keys(column: np.ndarray):
+    """The sorted distinct float64 bit patterns of ``column`` as int64 keys
+    (so -0.0 and 0.0, and NaNs of different bits, stay apart), or None if
+    there are more than _CSV_BLOCK of them or more than half as many as
+    rows, or if the column fits in one block: then formatting each value
+    once saves too little to pay for the sort and the lookup.  Sorting the
+    bit view stands in for np.unique, whose first call imports numpy.ma."""
+    if column.size <= _CSV_BLOCK:
+        return None
+    keys = np.sort(column.view(np.int64))
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if np.count_nonzero(new) > min(_CSV_BLOCK, keys.size // 2):
+        return None
+    return keys[new]
 
 
 def _write_csv(path, header: str, columns) -> None:
     """Write a table given as equal-length 1-D columns: the header line,
     then one line per row of floats at 17 significant digits (round-trip
-    exact), \\n line endings.  Every CSV of the package goes through here;
-    each block of _CSV_BLOCK rows is formatted by one %-operation, so the
-    formatting holds one block's strings at a time."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    exact), \\n line endings.  Every CSV of the package goes through here.
+
+    A column longer than one block with at most _CSV_BLOCK distinct values,
+    each repeated twice on average (such as the tiled z and repeated k of
+    the dispersion table), has each distinct value formatted once; its rows take those
+    strings by a binary search of their bit patterns.  The other columns
+    are formatted as they are written.  Each block of _CSV_BLOCK rows is one
+    %-operation over a flat list of the block's fields, so the writer holds
+    one block of strings plus the formatted distinct values at a time, and
+    never a copy of the table."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+        raise ValueError("CSV columns must be 1-D arrays of one length")
+    ncols, nrows = len(cols), cols[0].size
+    keys = [_distinct_keys(c) for c in cols]
+    # the formatted distinct values, in key order
+    texts = [None if k is None else
+             np.array(("%.17g " * k.size % tuple(k.view(float).tolist())).split(),
+                      dtype=object)
+             for k in keys]
+    line = ",".join("%.17g" if k is None else "%s" for k in keys) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, nrows, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, nrows)
+            fields = [None] * ((stop - start) * ncols)
+            for j, (col, k, text) in enumerate(zip(cols, keys, texts)):
+                values = col[start:stop]
+                fields[j::ncols] = (values.tolist() if k is None else
+                                    text[np.searchsorted(k, values.view(np.int64))].tolist())
+            fh.write((line * (stop - start)) % tuple(fields))
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:

@@ -12,7 +12,8 @@ import pytest
 
 import vicsekbgk.cli as cli
 import vicsekbgk.linstab as linstab
-from vicsekbgk.solver import SolverAbort
+from vicsekbgk.solver import _CSV_BLOCK, SolverAbort
+from test_solver import _write_csv_per_value
 
 
 def _read_manifest(outdir):
@@ -211,6 +212,28 @@ def test_dispersion_golden(tmp_path):
     assert data.count(b"\n") == 109
     assert hashlib.sha256(data).hexdigest() == (
         "1a21791670c9fa2ee71a0fa4d8dffe357aac45ad3f12d7501eb3ecffb5610921")
+
+
+def test_dispersion_csv_matches_per_value_oracle(tmp_path):
+    # several writer blocks on the default lattice (40 wavenumbers); the
+    # oracle formats every value of the same sweep, row by row
+    settings = ["im_max=10", "z_step=0.5"]
+    rc = cli.main(["dispersion", *[a for kv in settings for a in ("--set", kv)],
+                   "--quiet", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    c = cli.resolve_config("dispersion", None, settings)
+    z = linstab.default_z_grid(delta=c["delta"], re_max=c["re_max"],
+                               im_max=c["im_max"], step=c["z_step"])
+    sweep = linstab.dispersion_sweep(c["mu"], c["gamma"], z_values=z,
+                                     k_max=c["k_max"], delta=c["delta"])
+    rows = [(zi.real, zi.imag, k[0], k[1], s, h)
+            for k, s_row, h_row in zip(sweep.k_vectors, sweep.sigma_min, sweep.re_h)
+            for zi, s, h in zip(sweep.z_values, s_row, h_row)]
+    assert len(rows) > 2 * _CSV_BLOCK
+    _write_csv_per_value(tmp_path / "oracle.csv", "z_re,z_im,k1,k2,min_singular,re_h",
+                         rows)
+    assert ((tmp_path / "dispersion.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
 
 
 def test_bounds_mini(tmp_path):
@@ -481,3 +504,37 @@ def test_linear_decay_k_max_with_too_many_wavenumbers_exits_2(tmp_path, capsys,
     # 2,498 wavenumbers are within the cap
     assert linstab._lattice_size(10.0, 399.0, 10 ** 9) == 2_498
     cli.resolve_config("linear-decay", None, ["k_max=399"])
+
+
+def test_linear_decay_k_max_over_the_contour_length_exits_2(tmp_path, capsys,
+                                                            monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "spectral_abscissa", no_work)
+    monkeypatch.setattr(linstab, "lattice_wavenumbers", no_work)
+    # gamma 100, k_max 3,990: the 2,498 wavenumbers of gamma 10, k_max 399,
+    # each ten times as long, so ten times the summed |k|
+    assert linstab._lattice_size(100.0, 3990.0, 10 ** 9) == 2_498
+    start = time.monotonic()
+    rc = cli.main(["linear-decay", "--set", "gamma=100", "--set", "k_max=3990",
+                   "--quiet", "--output-dir", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    assert "invalid value for k_max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lattice_length_sums_the_built_lattice():
+    rng = np.random.default_rng(8)
+    for gamma in (0.3, 1.0, 10.0, 100.0):
+        for k_max in gamma * np.concatenate([[1.0, 5.0, 399 / 10, 40.0],
+                                             rng.uniform(1.0, 30.0, 5)]):
+            k = linstab.lattice_wavenumbers(gamma, k_max)
+            assert linstab._lattice_length(gamma, k_max) == pytest.approx(
+                np.hypot(k[:, 0], k[:, 1]).sum(), rel=1e-12, abs=0.0)
+    assert linstab._lattice_length(10.0, 5.0) == 0.0
+    # at gamma 10 the length cap falls where the wavenumber cap does
+    assert (linstab._lattice_length(10.0, 399.0) <= cli._MAX_ABSCISSA_LENGTH
+            < linstab._lattice_length(10.0, 400.0))

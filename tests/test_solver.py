@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,7 @@ from scipy.linalg import expm
 
 import vicsekbgk.solver as solver
 from vicsekbgk.equilibria import homogeneous_flow, solve_L
-from vicsekbgk.linstab import flux_relaxation_matrix
+from vicsekbgk.linstab import default_z_grid, flux_relaxation_matrix
 from vicsekbgk.solver import (
     DIAGNOSTICS_HEADER,
     DiagnosticsSeries,
@@ -528,3 +532,91 @@ def test_write_csv_formatting_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def _assert_matches_per_value_oracle(tmp_path, header, columns):
+    solver._write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_per_value(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_repeated_specials_match_per_value_oracle(tmp_path):
+    nan_bits = np.array([math.nan, -math.nan]).view(np.int64)
+    nans = np.concatenate([nan_bits, nan_bits | 1]).view(float)
+    specials = np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                1e308, 1.0 / 3.0, 0.1], nans])
+    n = 2 * solver._CSV_BLOCK + 7
+    rng = np.random.default_rng(12)
+    tiled = np.resize(specials, n)
+    drawn = specials[rng.integers(0, specials.size, n)]
+    # distinct bit patterns: -0.0 beside 0.0 and each NaN apart
+    assert solver._distinct_keys(tiled).size == specials.size
+    # the rows of a transposed table, as the bounds experiment passes them:
+    # strided columns
+    table = np.column_stack([tiled, rng.standard_normal(n), drawn])
+    _assert_matches_per_value_oracle(tmp_path, "a,b,c", table.T)
+
+
+def test_write_csv_one_value_past_the_distinct_limit(tmp_path):
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(solver._CSV_BLOCK + 1)
+    at_limit, past_limit = np.tile(values[:-1], 2), np.tile(values, 2)
+    assert solver._distinct_keys(at_limit).size == solver._CSV_BLOCK
+    assert solver._distinct_keys(past_limit) is None
+    _assert_matches_per_value_oracle(
+        tmp_path, "a,b", [at_limit, past_limit[:at_limit.size]])
+
+
+def _dispersion_shaped_columns(nk, im_max, seed):
+    """Columns shaped like cli's dispersion table: z tiled over the k, k
+    repeated over the z, then two columns of distinct values."""
+    z = default_z_grid(im_max=im_max)
+    rng = np.random.default_rng(seed)
+    k = 10.0 * rng.integers(-5, 6, (nk, 2))
+    n = nk * z.size
+    return [np.tile(z.real, nk), np.tile(z.imag, nk), np.repeat(k[:, 0], z.size),
+            np.repeat(k[:, 1], z.size), rng.random(n) + 0.5,
+            rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)]
+
+
+def test_write_csv_dispersion_shaped_table_matches_per_value_oracle(tmp_path):
+    columns = _dispersion_shaped_columns(16, 10.0, seed=14)
+    assert columns[0].size > 3 * solver._CSV_BLOCK
+    assert [solver._distinct_keys(c) is None for c in columns] == [False] * 4 + [True] * 2
+    _assert_matches_per_value_oracle(
+        tmp_path, "z_re,z_im,k1,k2,min_singular,re_h", columns)
+
+
+def test_write_csv_dispersion_shaped_memory_is_bounded(tmp_path):
+    # the default dispersion table's shape, 40 k x 4,010 z = 160,400 rows
+    columns = _dispersion_shaped_columns(40, 50.0, seed=15)
+    assert columns[0].size == 160_400
+    tracemalloc.start()
+    try:
+        solver._write_csv(tmp_path / "big.csv", "z_re,z_im,k1,k2,min_singular,re_h",
+                          columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the table alone would be 7.7 MB; the writer peaks near 1.5 MB
+    assert peak < 5e6
+
+
+def test_write_csv_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique's first call imports numpy.ma; the writer must not pay it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np, vicsekbgk.solver as s; "
+         f"s._write_csv({str(tmp_path / 'x.csv')!r}, 'a,b', "
+         "(np.tile([0.5, -0.0, 3.0], 3000), np.arange(9000.0) / 7)); "
+         "print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "x.csv").read_text().count("\n") == 9001
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="one length"):
+        solver._write_csv(tmp_path / "bad.csv", "a,b", (np.zeros(3), np.zeros(4)))
