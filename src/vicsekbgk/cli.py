@@ -498,6 +498,16 @@ def _write_run_outputs(outdir: str, result) -> list[str]:
     return paths
 
 
+def _mass_drift(result) -> float:
+    """Largest change of the mean density over a run, relative to its start,
+    or to mu for a linearized perturbation, whose own mass starts at
+    round-off."""
+    mass, cfg = result.series.mass, result.config
+    if cfg.mode == "linearized":
+        return float(np.max(np.abs(mass - mass[0])) / cfg.mu)
+    return float(np.max(np.abs(mass / mass[0] - 1.0)))
+
+
 def _run_simulate(c: dict, outdir: str):
     cfg = _experiment_solver_config("simulate", c)
     result = run(cfg)
@@ -505,8 +515,7 @@ def _run_simulate(c: dict, outdir: str):
     s = result.series
     summary = {
         "mass_initial": float(s.mass[0]),
-        "mass_drift_rel": float(np.max(np.abs(s.mass / s.mass[0] - 1.0)))
-        if s.mass[0] != 0 else float(np.max(np.abs(s.mass - s.mass[0]))),
+        "mass_drift_rel": _mass_drift(result),
         "dist_final": float(s.dist[-1]),
     }
     if c["mode"] != "linearized":
@@ -557,7 +566,7 @@ def _run_entropy(c: dict, outdir: str):
         "max_violation": fit.max_violation,
         "entropy_initial": float(s.entropy[0]),
         "entropy_final": float(s.entropy[-1]),
-        "mass_drift_rel": float(np.max(np.abs(s.mass / s.mass[0] - 1.0))),
+        "mass_drift_rel": _mass_drift(result),
     }
     return paths, summary
 

@@ -13,8 +13,8 @@ bifurcates with L_mu^2 = (d+2)(mu-d) + O((mu-d)^2).
 On the circle c(r) = I1(r)/I0(r), from the exponentially scaled Bessel
 functions i0e and i1e of Cephes (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989, files i0.c, i1.c and chbevl.c), ported here
-with the same coefficients and order of operations, so they return the bits
-scipy.special.i0e / i1e return.
+with the same coefficients and order of operations as one recurrence for
+floats and arrays, so they return the bits scipy.special.i0e / i1e return.
 """
 from __future__ import annotations
 
@@ -109,81 +109,55 @@ _I1_B = (
 )
 
 
-def _chbevl(y: float, coef: tuple) -> float:
-    """Cephes chbevl: the Chebyshev series coef at y by Clenshaw's
-    recurrence b0 = y b1 - b2 + c, in Python floats."""
+# The i0 (real part) and i1 (imaginary part) series of one range as complex
+# coefficients; a leading zero term pads the one-term-shorter i1 "A" table.
+_PACKED_A = tuple(complex(a, b) for a, b in zip(_I0_A, (0.0,) + _I1_A))
+_PACKED_B = tuple(complex(a, b) for a, b in zip(_I0_B, _I1_B))
+
+
+def _chbevl(y, coef: tuple):
+    """Cephes chbevl: the packed series at y, a Python complex or a complex
+    array, by Clenshaw's recurrence b0 = y b1 - b2 + c.  y has a zero
+    imaginary part, so the cross terms 0 * b1 are exact zeros (b1 stays
+    finite) and each lane rounds as the real recurrence does."""
     b0, b1, b2 = coef[0], 0.0, 0.0
     for c in coef[1:]:
-        b2 = b1
-        b1 = b0
-        b0 = y * b1 - b2 + c
+        b2, b1 = b1, b0
+        b0 = y * b1
+        b0 -= b2
+        b0 += c
     return 0.5 * (b0 - b2)
 
 
-def _i0e(x: float) -> float:
-    """Cephes i0e, exp(-x) I0(x), for a float x >= 0 (NaN gives NaN)."""
-    if x <= 8.0:
-        return _chbevl(x / 2.0 - 2.0, _I0_A)
-    return _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
+def _range_a(x):
+    """(i0e, i1e) of a float or array x <= 8."""
+    s = _chbevl(x / 2.0 - 2.0 + 0j, _PACKED_A)
+    return s.real, s.imag * x
 
 
-def _i1e(x: float) -> float:
-    """Cephes i1e, exp(-x) I1(x), for a float x >= 0 (NaN gives NaN)."""
-    if x <= 8.0:
-        return _chbevl(x / 2.0 - 2.0, _I1_A) * x
-    return _chbevl(32.0 / x - 2.0, _I1_B) / math.sqrt(x)
+def _range_b(x, q):
+    """(i0e, i1e) of a float or array x > 8 (or NaN) with q = sqrt(x)."""
+    s = _chbevl(32.0 / x - 2.0 + 0j, _PACKED_B)
+    return s.real / q, s.imag / q
 
 
-# The i0 and i1 series of one range packed as the real and imaginary parts
-# of complex coefficients, held as 0-d arrays (the cheapest scalar operand of
-# a ufunc); the i1 "A" table is one term shorter, and a leading zero term
-# leaves its recurrence unchanged.
-_PACKED_A = tuple(np.array(complex(a, b))
-                  for a, b in zip(_I0_A, (0.0,) + _I1_A))
-_PACKED_B = tuple(np.array(complex(a, b)) for a, b in zip(_I0_B, _I1_B))
-
-
-def _chbevl_pair(y: np.ndarray, coef: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """_chbevl of the packed i0 and i1 series at every entry of the 1-D y.
-
-    The recurrence runs in place on three complex buffers.  y enters with a
-    zero imaginary part, whose cross terms 0 * b1 are exact zeros (b1 stays
-    finite), so each complex product rounds as y b1.real and y b1.imag do
-    and both lanes return _chbevl's bits.
-    """
-    yc = y.astype(complex)
-    buf = np.empty((3, y.size), dtype=complex)
-    b0, b1, b2 = buf
-    b0.fill(coef[0])
-    b1.fill(0.0)
-    for c in coef[1:]:
-        b2, b1, b0 = b1, b0, b2
-        np.multiply(yc, b1, b0)  # positional out: less call overhead
-        np.subtract(b0, b2, b0)
-        np.add(b0, c, b0)
-    t = b0 - b2
-    return 0.5 * t.real, 0.5 * t.imag
-
-
-def _i0e_i1e(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i0e(x), i1e(x)) elementwise for an array x >= 0 (NaN gives NaN)."""
+def _i0e_i1e(x):
+    """(i0e(x), i1e(x)) for x >= 0 (NaN gives NaN): two floats for a float
+    x, two arrays of x's shape for an array."""
+    if isinstance(x, float):
+        return _range_a(x) if x <= 8.0 else _range_b(x, math.sqrt(x))
     shape = x.shape
     x = x.ravel()
     low = x <= 8.0
     if low.all():
-        s0, s1 = _chbevl_pair(x / 2.0 - 2.0, _PACKED_A)
-        return s0.reshape(shape), (s1 * x).reshape(shape)
-    i0 = np.empty_like(x)
-    i1 = np.empty_like(x)
+        i0, i1 = _range_a(x)
+        return i0.reshape(shape), i1.reshape(shape)
+    i0, i1 = np.empty_like(x), np.empty_like(x)
     if low.any():
-        xa = x[low]
-        s0, s1 = _chbevl_pair(xa / 2.0 - 2.0, _PACKED_A)
-        i0[low], i1[low] = s0, s1 * xa
+        i0[low], i1[low] = _range_a(x[low])
     high = ~low
     xb = x[high]
-    s0, s1 = _chbevl_pair(32.0 / xb - 2.0, _PACKED_B)
-    s = np.sqrt(xb)
-    i0[high], i1[high] = s0 / s, s1 / s
+    i0[high], i1[high] = _range_b(xb, np.sqrt(xb))
     return i0.reshape(shape), i1.reshape(shape)
 
 
@@ -207,8 +181,8 @@ def order_parameter(r, d: int):
     if d < 2:
         raise ValueError("d must be >= 2")
     if d == 2 and isinstance(r, float) and 0.0 < r < math.inf:
-        r = float(r)  # the root finders' and RK4's scalar calls
-        return _i1e(r) / _i0e(r)
+        i0, i1 = _i0e_i1e(float(r))  # the root finders' and RK4's calls
+        return i1 / i0
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("concentration must be nonnegative")

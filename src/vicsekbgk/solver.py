@@ -411,25 +411,21 @@ def init_field(config: SolverConfig) -> PhaseField:
     x = 2.0 * math.pi * np.arange(nx) / nx
     base = np.broadcast_to(config.mu * ws.Meq, (nx, nx, ntheta)).copy()
 
-    if spec.recipe == "mode-bump":
-        m1, m2 = spec.mode_k
-        bump = np.cos(m1 * x[:, None, None] + m2 * x[None, :, None])
-        bump = np.broadcast_to(bump, base.shape)
-        if config.mode == "linearized":
-            values = spec.amplitude * bump * base
-        else:
-            values = base * (1.0 + spec.amplitude * bump)
-    elif spec.recipe == "random-smooth":
-        g = _random_smooth(nx, ws.grid.angles, config.seed)
-        if config.mode == "linearized":
-            values = spec.amplitude * g * base
-        else:
-            values = base * (1.0 + spec.amplitude * g)
-    else:  # large-blob
+    if spec.recipe == "large-blob":
         kappa = 1.0 / spec.width**2
         bx = np.exp(kappa * (np.cos(x - math.pi) - 1.0))
         ang = (1.0 + 0.5 * ws.grid.nodes[:, 0]) / (2.0 * math.pi)
         values = bx[:, None, None] * bx[None, :, None] * ang[None, None, :]
+    else:  # a perturbation g of sup norm 1 on the equilibrium
+        if spec.recipe == "mode-bump":
+            m1, m2 = spec.mode_k
+            g = np.cos(m1 * x[:, None, None] + m2 * x[None, :, None])
+        else:  # random-smooth
+            g = _random_smooth(nx, ws.grid.angles, config.seed)
+        if config.mode == "linearized":
+            values = spec.amplitude * g * base
+        else:
+            values = base * (1.0 + spec.amplitude * g)
 
     mean = values.sum() * ws.wtheta / (nx * nx)
     if config.mode == "linearized":
@@ -449,10 +445,10 @@ def init_field(config: SolverConfig) -> PhaseField:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-DIAGNOSTICS_HEADER = "t,mass,jbar_x,jbar_y,l2,entropy,dist,rho_min,rho_max"
-
 _COLUMNS = ("t", "mass", "jbar_x", "jbar_y", "l2", "entropy", "dist",
             "rho_min", "rho_max")
+
+DIAGNOSTICS_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass

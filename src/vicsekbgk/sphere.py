@@ -203,7 +203,7 @@ def moments(f: np.ndarray, grid: SphereGrid) -> MomentPair:
     return MomentPair(rho=float(wf.sum()), J=wf @ grid.nodes)
 
 
-def axis_integral(k: int, m: int, n: int | None = None) -> float:
+def axis_integral(k: int, m: int) -> float:
     """I_{k,m} = Int_0^pi cos^k(t) sin^m(t) dt by Gauss-Legendre quadrature.
 
     These are the reduction weights that turn sphere moments of axially
@@ -212,9 +212,7 @@ def axis_integral(k: int, m: int, n: int | None = None) -> float:
     """
     if k < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    if n is None:
-        n = 64 + 8 * (k + m)
-    x, w = gauss_legendre(n)
+    x, w = gauss_legendre(64 + 8 * (k + m))
     t = 0.5 * np.pi * (x + 1.0)
     return float(0.5 * np.pi * np.sum(w * np.cos(t) ** k * np.sin(t) ** m))
 

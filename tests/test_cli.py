@@ -267,6 +267,19 @@ def test_simulate_mini(tmp_path):
     assert "J_gap" in summary and "dist_rate" in summary
 
 
+def test_simulate_linearized_mass_drift_is_relative_to_mu(tmp_path):
+    # the perturbation's own mass starts at round-off (~1e-20), so a drift
+    # relative to it is noise; relative to the mean density mu it is ~1e-20
+    rc = cli.main(["simulate", "--set", "mode=linearized", "--set", "mu=1.5",
+                   "--set", "nx=16", "--set", "ntheta=32",
+                   "--set", "t_end=1", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 0
+    summary = _read_manifest(tmp_path)["summary"]
+    assert abs(summary["mass_initial"]) < 1e-15
+    assert summary["mass_drift_rel"] <= 1e-12
+
+
 def test_linear_decay_mini(tmp_path):
     rc = cli.main(["linear-decay", "--set", "nx=16", "--set", "ntheta=32",
                    "--set", "t_end=2.0", "--set", "snapshot_every=10",

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from vicsekbgk.equilibria import (
+    _I0_A,
+    _I0_B,
+    _I1_A,
+    _I1_B,
     _brentq,
     _c_over_r,
-    _i0e,
     _i0e_i1e,
-    _i1e,
     asymptotic_L,
     equilibrium_branch,
     homogeneous_flow,
@@ -209,8 +211,8 @@ def test_homogeneous_flow_fourth_order():
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions: scipy.special's Cephes i0e / i1e, which _i0e, _i1e and
-# _i0e_i1e replace, is the oracle
+# Bessel functions: scipy.special's Cephes i0e / i1e, which _i0e_i1e
+# replaces in float and array form, is the oracle
 # ---------------------------------------------------------------------------
 
 def _assert_same_bits(got, want):
@@ -234,6 +236,24 @@ def _bessel_points():
          1e308, np.inf, np.nan]])
 
 
+def _chbevl_real(y, coef):
+    """Cephes chbevl in Python floats: each lane of the packed complex
+    recurrence in equilibria must return its bits."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0e_i1e_real(x):
+    if x <= 8.0:
+        y = x / 2.0 - 2.0
+        return _chbevl_real(y, _I0_A), _chbevl_real(y, _I1_A) * x
+    y, q = 32.0 / x - 2.0, math.sqrt(x)
+    return _chbevl_real(y, _I0_B) / q, _chbevl_real(y, _I1_B) / q
+
+
 def test_i0e_i1e_match_scipy_bit_for_bit():
     special = pytest.importorskip("scipy.special")
     x = _bessel_points()
@@ -241,8 +261,10 @@ def test_i0e_i1e_match_scipy_bit_for_bit():
     got0, got1 = _i0e_i1e(x)
     _assert_same_bits(got0, want0)
     _assert_same_bits(got1, want1)
-    _assert_same_bits([_i0e(v) for v in x.tolist()], want0)
-    _assert_same_bits([_i1e(v) for v in x.tolist()], want1)
+    pairs = [_i0e_i1e(v) for v in x.tolist()]
+    assert all(type(a) is float and type(b) is float for a, b in pairs)
+    _assert_same_bits([a for a, _ in pairs], want0)
+    _assert_same_bits([b for _, b in pairs], want1)
     # any shape, with both series in one array or only one of them
     for part in (x[-1000:], x[x <= 8.0][:1000], x[x > 8.0][:1000]):
         got0, got1 = _i0e_i1e(part.reshape(40, 25))
@@ -258,10 +280,13 @@ def test_scalar_and_array_paths_agree_bit_for_bit():
     _assert_same_bits(c, order_parameter(r, 2))
     _assert_same_bits([order_parameter(np.float64(v), 2) for v in r[:1000]],
                       c[:1000])
-    # c(r)/r: the series below 1e-4, i1e / (r i0e) from the scalar forms above
+    # the float form against the real recurrence, with no scipy needed
+    _assert_same_bits([_i0e_i1e(v) for v in x.tolist()],
+                      [_i0e_i1e_real(v) for v in x.tolist()])
+    # c(r)/r: the series below 1e-4, i1e / (r i0e) from the float form
     r = np.concatenate([r, [1e-4, np.nextafter(1e-4, 0.0), 0.0]])
-    want = [0.5 - v * v / 16.0 if v < 1e-4 else _i1e(v) / (v * _i0e(v))
-            for v in r.tolist()]
+    want = [0.5 - v * v / 16.0 if v < 1e-4
+            else _i0e_i1e(v)[1] / (v * _i0e_i1e(v)[0]) for v in r.tolist()]
     _assert_same_bits(_c_over_r(r), want)
     _assert_same_bits(_c_over_r(r[:1024].reshape(32, 32)).ravel(), want[:1024])
     # NaN is not negative and not positive: c(NaN) is 0, as before the port
