@@ -37,7 +37,10 @@ are supported:
                   operator, dt).  It acts pointwise in x, so it applies to
                   the spectrum directly: the moment GEMM, then a second real
                   GEMM that expands (rho, J) back over the float view.  A
-                  step needs no FFT at all;
+                  step needs no FFT at all.  Two such maps compose to one of
+                  the same form, e^{-2h} Id plus a rank-3 term, so `run`
+                  applies each step's closing collision and the next step's
+                  opening one as a single merged pair between samples;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
 
@@ -186,6 +189,10 @@ def _num_steps(config: SolverConfig) -> int:
     return int(round(config.t_end / config.dt))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def validate(config: SolverConfig) -> None:
     """Check every rule on the fields of a SolverConfig and its InitSpec.
 
@@ -199,10 +206,10 @@ def validate(config: SolverConfig) -> None:
     _require(spec.recipe in RECIPES, "init.recipe", "must be " + ", ".join(RECIPES))
     _require(config.mu > 0, "mu", "must be > 0")
     _require(config.gamma > 0, "gamma", "must be > 0")
-    _require(config.nx >= 4 and config.nx % 2 == 0, "nx",
-             "must be an even integer >= 4")
-    _require(config.ntheta >= 8 and config.ntheta % 2 == 0, "ntheta",
-             "must be an even integer >= 8")
+    _require(_is_int(config.nx) and config.nx >= 4 and config.nx % 2 == 0,
+             "nx", "must be an even integer >= 4")
+    _require(_is_int(config.ntheta) and config.ntheta >= 8
+             and config.ntheta % 2 == 0, "ntheta", "must be an even integer >= 8")
     _require(config.dt > 0, "dt", "must be > 0")
     _require(config.t_end > 0, "t_end", "must be > 0")
     n = _num_steps(config) if math.isfinite(config.t_end / config.dt) else 0
@@ -212,13 +219,14 @@ def validate(config: SolverConfig) -> None:
     if config.mode == "regularized":
         _require(config.eps_reg is not None and config.eps_reg > 0, "eps_reg",
                  "must be > 0 in regularized mode")
-    _require(config.snapshot_every >= 1, "snapshot_every",
-             "must be a positive integer")
-    _require(config.seed >= 0, "seed", "must be >= 0")
+    _require(_is_int(config.snapshot_every) and config.snapshot_every >= 1,
+             "snapshot_every", "must be a positive integer")
+    _require(_is_int(config.seed) and config.seed >= 0, "seed",
+             "must be an integer >= 0")
     _require(spec.amplitude >= 0, "init.amplitude", "must be >= 0")
     _require(spec.width > 0, "init.width", "must be > 0")
     _require(isinstance(spec.mode_k, tuple) and len(spec.mode_k) == 2
-             and all(isinstance(v, (int, np.integer)) for v in spec.mode_k),
+             and all(_is_int(v) for v in spec.mode_k),
              "init.mode_k", "must be a pair of integers")
     if config.mode == "linearized":
         _require(spec.recipe != "large-blob", "init.recipe",
@@ -286,7 +294,9 @@ class _Workspace:
     The linearized one is S -> e^{-h} S + (rho, J) . V, with the (3, ntheta)
     V = (1 - e^{-h}) T^T [M_eq; mu grad_J M_eq] and T = Id + (h/2)
     [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J); it is stored
-    interleaved the same way, as the (6, 2 ntheta) V2."""
+    interleaved the same way, as the (6, 2 ntheta) V2.  Two linearized
+    collisions in a row are one map of the same form, S -> e^{-2h} S +
+    (rho, J) . V2pair, with V2pair = 2 e^{-h} V2 + (V2 @ W2) @ V2."""
 
     def __init__(self, nx: int, ntheta: int, gamma: float, dt: float,
                  mu: float, mode: str, eps_reg: float | None,
@@ -314,6 +324,8 @@ class _Workspace:
             T = np.eye(3) + 0.5 * self.h * R
             B = np.vstack([self.Meq, mu * von_mises_gradient(Jeq, self.grid)])
             self.V2 = _interleave((1.0 - self.decay) * (T.T @ B))
+            self.V2pair = 2.0 * self.decay * self.V2 + (self.V2 @ self.W2) @ self.V2
+            self.decay2 = self.decay * self.decay
 
 
 _workspace = lru_cache(maxsize=8)(_Workspace)
@@ -359,14 +371,22 @@ def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
     return target
 
 
+def _rank3(R: np.ndarray, W2: np.ndarray, V: np.ndarray, decay: float,
+           M: np.ndarray | None = None, T: np.ndarray | None = None) -> np.ndarray:
+    """R <- decay R + (R @ W2) @ V in place on float rows R, with M and T
+    optional scratch for the moments and the rank-3 term; returns R."""
+    T = np.matmul(np.matmul(R, W2, out=M), V, out=T)
+    R *= decay
+    R += T
+    return R
+
+
 def _collide_linear(S: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Exact relaxation of the linearized collision over the half-step span:
     the workspace's rank-3 map.  It is linear and acts cell by cell, so it
     applies to the spectrum's float rows as is: two real GEMMs."""
-    R = _float_rows(S)
-    out = (R @ ws.W2) @ ws.V2
-    out += ws.decay * R
-    return out.view(complex).reshape(S.shape)
+    R = _rank3(_float_rows(S).copy(), ws.W2, ws.V2, ws.decay)
+    return R.view(complex).reshape(S.shape)
 
 
 def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
@@ -597,6 +617,12 @@ def run(config: SolverConfig) -> RunResult:
     half-spectrum state; nodal values are formed only at those sample times.
     Raises SolverAbort (with the failure time) as soon as the state stops
     being finite.
+
+    Nonlinear and regularized runs call `step`.  A linearized run keeps, in
+    place, the state U = P C S after a step's transport P and before its
+    closing collision C, so a step with no sample is one merged pair,
+    U <- P (C C U), and a sample takes S = C U, then continues with
+    U <- P C S: n steps with s samples apply n + s rank-3 maps, not 2 n.
     """
     validate(config)
     nsteps = _num_steps(config)
@@ -605,12 +631,25 @@ def run(config: SolverConfig) -> RunResult:
     rows = [_diagnostics_row(F, 0.0, config, ws)]
     snaps = [(0.0, F.values)]
     S = np.fft.rfft2(F.values, axes=(0, 1))
+    linear = config.mode == "linearized"
+    if linear:  # S's own float rows, which the loop advances in place
+        R = _float_rows(S)
+        M, T = np.empty((R.shape[0], ws.W2.shape[1])), np.empty_like(R)
+    sample = True  # t = 0
     for i in range(1, nsteps + 1):
-        S = step(S, config.dt, config)
+        if not linear:
+            S = step(S, config.dt, config)
+        else:  # U <- P C S after a sample, U <- P C C U otherwise
+            V, decay = (ws.V2, ws.decay) if sample else (ws.V2pair, ws.decay2)
+            _rank3(R, ws.W2, V, decay, M, T)
+            S *= ws.phase
+        sample = i % config.snapshot_every == 0 or i == nsteps
+        if linear and sample:  # the Strang state S = C U
+            _rank3(R, ws.W2, ws.V2, ws.decay, M, T)
         t = i * config.dt
         if not np.isfinite(S.view(float)).all():  # both parts, as floats
             raise SolverAbort(t)
-        if i % config.snapshot_every == 0 or i == nsteps:
+        if sample:
             F = PhaseField(np.fft.irfft2(S, s=ws.shape, axes=(0, 1)),
                            F.gamma, F.grid)
             rows.append(_diagnostics_row(F, t, config, ws))

@@ -78,6 +78,18 @@ def test_validation_errors():
             init_field(cfg)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nx", 8.0), ("ntheta", 16.0), ("snapshot_every", 2.5),
+    ("snapshot_every", True), ("seed", 1.0), ("seed", False)])
+def test_validate_requires_integer_fields(key, value):
+    # non-integers used to fail inside numpy, or run with a rounded cadence
+    solver.validate(SolverConfig(mu=1.0, nx=np.int64(8), ntheta=16,
+                                 snapshot_every=np.int32(2), seed=np.int64(1)))
+    with pytest.raises(ValueError, match=f"invalid value for {key}:"):
+        solver.validate(SolverConfig(**{"mu": 1.0, "nx": 8, "ntheta": 16,
+                                        key: value}))
+
+
 def test_equilibrium_flux():
     assert np.all(solver._equilibrium_flux(1.5, 0.0) == 0.0)
     J = solver._equilibrium_flux(2.5, 0.7)
@@ -361,6 +373,102 @@ def test_solver_abort_carries_time():
     err = SolverAbort(1.25)
     assert err.t == 1.25
     assert "1.25" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# the run loop against a loop of step
+# ---------------------------------------------------------------------------
+
+def _step_loop(cfg):
+    """Nodal snapshots at run's sample steps from a plain loop of step, the
+    one-step oracle; raises SolverAbort like run."""
+    F = solver.init_field(cfg)
+    S = np.fft.rfft2(F.values, axes=(0, 1))
+    n = solver._num_steps(cfg)
+    snaps = [(0.0, F.values)]
+    for i in range(1, n + 1):
+        S = step(S, cfg.dt, cfg)
+        if not np.isfinite(S.view(float)).all():
+            raise SolverAbort(i * cfg.dt)
+        if i % cfg.snapshot_every == 0 or i == n:
+            snaps.append((i * cfg.dt, np.fft.irfft2(S, s=(cfg.nx, cfg.nx),
+                                                    axes=(0, 1))))
+    return snaps
+
+
+def _linear_config(**kw):
+    # 23 steps end on a partial block for every cadence tested; dt = 0.1 keeps
+    # the rank-3 term of each collision well above round-off
+    return SolverConfig(**{
+        "mu": 2.5, "mode": "linearized", "jeq_angle": 0.4, "nx": 8,
+        "ntheta": 16, "dt": 0.1, "t_end": 2.3, "keep_snapshots": True,
+        "seed": 5, "init": InitSpec(recipe="random-smooth", amplitude=1.0),
+        **kw})
+
+
+@pytest.mark.parametrize("every", [1, 2, 7])
+def test_linearized_run_matches_step_loop(every):
+    cfg = _linear_config(snapshot_every=every)
+    got, want = run(cfg).snapshots, _step_loop(cfg)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        if every == 1:  # no pair is merged: the same operations as step
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("mode, eps_reg", [("nonlinear", None),
+                                           ("regularized", 0.5)])
+def test_nonlinear_run_is_step_loop(mode, eps_reg):
+    cfg = SolverConfig(mu=2.5, mode=mode, eps_reg=eps_reg, nx=8, ntheta=16,
+                       dt=0.05, t_end=0.4, snapshot_every=3,
+                       keep_snapshots=True,
+                       init=InitSpec(recipe="random-smooth", amplitude=0.5))
+    got, want = run(cfg).snapshots, _step_loop(cfg)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_pair_map_is_two_linearized_collisions():
+    cfg = _linear_config(dt=0.5, t_end=0.5)
+    ws = solver._workspace_of(cfg, cfg.dt)
+    S = np.fft.rfft2(init_field(cfg).values, axes=(0, 1))
+    two = solver._float_rows(
+        solver._collide_linear(solver._collide_linear(S, ws), ws))
+    R = solver._float_rows(S)
+    pair = solver._rank3(R.copy(), ws.W2, ws.V2pair, ws.decay2)
+    scale = np.max(np.abs(two))
+    assert np.max(np.abs(two - ws.decay2 * R)) > 0.1 * scale
+    assert np.max(np.abs(pair - two)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_linearized_run_counts_rank3_maps(monkeypatch):
+    calls = []
+    rank3 = solver._rank3
+
+    def counted(*args):
+        calls.append(1)
+        return rank3(*args)
+
+    monkeypatch.setattr(solver, "_rank3", counted)
+    res = run(_linear_config(snapshot_every=7))
+    nsteps, nsamples = 23, len(res.series) - 1
+    assert nsamples == 4
+    assert len(calls) == nsteps + nsamples
+
+
+def test_linearized_abort_time_matches_step_loop(monkeypatch):
+    cfg = _linear_config(snapshot_every=10)
+    F = init_field(cfg)
+    F.values[1, 2, 3] = np.nan
+    monkeypatch.setattr(solver, "init_field", lambda config: F.copy())
+    with pytest.raises(SolverAbort) as got:
+        run(cfg)
+    with pytest.raises(SolverAbort) as want:
+        _step_loop(cfg)
+    assert got.value.t == want.value.t == cfg.dt
 
 
 # ---------------------------------------------------------------------------
