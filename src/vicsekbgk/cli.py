@@ -24,7 +24,9 @@ size).  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
 atomically.  A run that fails before writing any artifact (exit 1) still
-writes a manifest, with no outputs and the error and its type as summary.
+writes a manifest, with no outputs and the error and its type as summary;
+a solver abort adds its time (last_valid_time) and the last good
+diagnostics row (last_good_row).
 A run first deletes the directory's previous manifest, so one that fails
 after writing artifacts leaves none behind.
 
@@ -630,6 +632,7 @@ def main(argv=None) -> int:
             summary = {"error": str(exc), "error_type": type(exc).__name__}
             if isinstance(exc, SolverAbort):
                 summary["last_valid_time"] = exc.t
+                summary["last_good_row"] = exc.last_good_row
             _write_manifest(outdir, experiment, config, [], summary, t0)
         return 1
     manifest_path = _write_manifest(outdir, experiment, config,

@@ -24,10 +24,10 @@ is second order in dt).  The angular moments (rho, J) commute with the spatial
 transform, so they are taken on the spectrum: one real GEMM of its float view
 (the (Re, Im) pairs of each cell as one row) with a (2 ntheta, 6) moment
 matrix.  Only those three 2-D fields are transformed back; the von Mises
-target is built in physical space and transformed forward once, with the
-2/3-rule mask (Orszag 1971) multiplied in when dealiasing is on.  A
-nonlinear step therefore costs two 3-D real FFTs.  Three right-hand sides
-are supported:
+target is built in physical space and sent forward by two real DFT GEMMs
+over the modes the 2/3 rule (Orszag 1971) keeps, or all modes when
+dealiasing is off.  A nonlinear step makes no 3-D FFT.  Three right-hand
+sides are supported:
 
 * "nonlinear":    the alignment dynamics themselves;
 * "linearized":   the dynamics linearized at an equilibrium (mu, J_eq); the
@@ -173,11 +173,13 @@ class PhaseField:
 
 
 class SolverAbort(RuntimeError):
-    """Raised when the state stops being finite; carries the failure time."""
+    """Raised when the state stops being finite; carries the failure time
+    and the last good diagnostics row (a dict, or None)."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, last_good_row: dict | None = None):
         super().__init__(f"non-finite state at t = {t:.6g}")
         self.t = t
+        self.last_good_row = last_good_row
 
 
 def _require(ok: bool, key: str, what: str) -> None:
@@ -296,7 +298,11 @@ class _Workspace:
     [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J); it is stored
     interleaved the same way, as the (6, 2 ntheta) V2.  Two linearized
     collisions in a row are one map of the same form, S -> e^{-2h} S +
-    (rho, J) . V2pair, with V2pair = 2 e^{-h} V2 + (V2 @ W2) @ V2."""
+    (rho, J) . V2pair, with V2pair = 2 e^{-h} V2 + (V2 @ W2) @ V2.  The
+    nonlinear target goes forward by two real DFT GEMMs, D = [cos; -sin]
+    along x2 and G = [[C, -S], [S, C]] along x1, over the kept modes |m1|,
+    m2 < lo only.  At O(nx^3 ntheta) they beat rfft2 up to nx ~ 128, not
+    near 256.  Their scratch buffers live here, so `step` is not reentrant."""
 
     def __init__(self, nx: int, ntheta: int, gamma: float, dt: float,
                  mu: float, mode: str, eps_reg: float | None,
@@ -306,12 +312,19 @@ class _Workspace:
         self.W2 = _interleave(_moment_weights(self.grid).T)
         self.shape = (nx, nx)
         self.phase = _half_phase(nx, gamma, dt, self.grid)
-        self.keep = None
-        if dealias and mode != "linearized":
-            m = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-            cut = nx // 3
-            self.keep = ((m[:, None] <= cut)
-                         & (m[None, : nx // 2 + 1] <= cut))[..., None]
+        if mode != "linearized":  # DFT tables from the phases m x mod nx
+            p = np.multiply.outer(np.arange(nx), np.arange(nx)) % nx
+            c, s = np.cos(2 * math.pi * p / nx), -np.sin(2 * math.pi * p / nx)
+            c, s = (np.where(4 * p % nx, a, np.rint(a)) for a in (c, s))
+            self.lo = (nx // 3 if dealias else nx // 2) + 1
+            rows = np.r_[0:self.lo, max(self.lo, nx + 1 - self.lo):nx]
+            self.D = np.vstack([c[:self.lo], s[:self.lo]])
+            self.G = np.stack([np.vstack([c[rows], s[rows]]), np.vstack(
+                [-s[rows], c[rows]])], axis=-1).reshape(2 * rows.size, -1)
+            self.mom = np.empty((nx * (nx // 2 + 1), 6))
+            self.E = np.empty((nx, nx, ntheta))
+            self.Y = np.empty((nx, 2 * self.lo, ntheta))
+            self.Z = np.empty((2 * rows.size, self.lo * ntheta))
         self.h = 0.5 * dt
         self.decay = math.exp(-self.h)
         self.eps_reg = eps_reg if mode == "regularized" else None
@@ -351,10 +364,11 @@ def regularized_flux(J: np.ndarray, eps: float) -> np.ndarray:
     return J * fac
 
 
-def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _collide(S: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """Exact relaxation over the half-step span ws.h (nonlinear/regularized),
-    on the half-spectrum S."""
-    m = (_float_rows(S) @ ws.W2).view(complex).T.reshape((3,) + S.shape[:-1])
+    on the half-spectrum S, into out (new if None; S itself is allowed)."""
+    m = np.matmul(_float_rows(S), ws.W2, out=ws.mom).view(complex)
+    m = m.T.reshape((3,) + S.shape[:-1])
     rho, Jx, Jy = np.fft.irfft2(m, s=ws.shape, axes=(1, 2))
     r = np.hypot(Jx, Jy)
     sfac = rho * _c_over_r(r) - 1.0
@@ -362,13 +376,15 @@ def _collide(S: np.ndarray, ws: _Workspace) -> np.ndarray:
                   axis=-1)
     if ws.eps_reg is not None:
         Js = regularized_flux(Js, ws.eps_reg)
-    E = von_mises(Js, ws.grid)
-    E *= rho[..., None]
-    target = np.fft.rfft2(E, axes=(0, 1))
-    decay = ws.decay
-    target *= (1.0 - decay) if ws.keep is None else (1.0 - decay) * ws.keep
-    target += decay * S
-    return target
+    E = von_mises(Js, ws.grid, out=ws.E)
+    E *= ((1.0 - ws.decay) * rho)[..., None]
+    Y = np.matmul(ws.D, E, out=ws.Y).reshape(2 * ws.shape[0], -1)
+    Z = np.matmul(ws.G, Y, out=ws.Z).reshape(2, -1, ws.lo, E.shape[-1])
+    out = np.multiply(S, ws.decay, out=out, order="C")
+    for part, Zp in zip((out.real, out.imag), Z):
+        part[:ws.lo, :ws.lo] += Zp[:ws.lo]
+        part[ws.lo - Zp.shape[0]:, :ws.lo] += Zp[ws.lo:]
+    return out
 
 
 def _rank3(R: np.ndarray, W2: np.ndarray, V: np.ndarray, decay: float,
@@ -381,11 +397,12 @@ def _rank3(R: np.ndarray, W2: np.ndarray, V: np.ndarray, decay: float,
     return R
 
 
-def _collide_linear(S: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _collide_linear(S: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """Exact relaxation of the linearized collision over the half-step span:
     the workspace's rank-3 map.  It is linear and acts cell by cell, so it
-    applies to the spectrum's float rows as is: two real GEMMs."""
-    R = _rank3(_float_rows(S).copy(), ws.W2, ws.V2, ws.decay)
+    applies to the spectrum's float rows as is: two real GEMMs, in place if
+    out is S."""
+    R = _rank3(_float_rows(S if out is S else S.copy()), ws.W2, ws.V2, ws.decay)
     return R.view(complex).reshape(S.shape)
 
 
@@ -397,7 +414,7 @@ def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
     collide = _collide_linear if config.mode == "linearized" else _collide
     S = collide(S, ws)
     S *= ws.phase
-    return collide(S, ws)
+    return collide(S, ws, out=S)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +632,8 @@ def run(config: SolverConfig) -> RunResult:
     final step.  Snapshots of the field are retained at the same cadence when
     keep_snapshots is set, otherwise only first and last.  Steps act on the
     half-spectrum state; nodal values are formed only at those sample times.
-    Raises SolverAbort (with the failure time) as soon as the state stops
-    being finite.
+    Raises SolverAbort (with the failure time and the last sampled row) as
+    soon as the state stops being finite.
 
     Nonlinear and regularized runs call `step`.  A linearized run keeps, in
     place, the state U = P C S after a step's transport P and before its
@@ -648,7 +665,7 @@ def run(config: SolverConfig) -> RunResult:
             _rank3(R, ws.W2, ws.V2, ws.decay, M, T)
         t = i * config.dt
         if not np.isfinite(S.view(float)).all():  # both parts, as floats
-            raise SolverAbort(t)
+            raise SolverAbort(t, rows[-1])
         if sample:
             F = PhaseField(np.fft.irfft2(S, s=ws.shape, axes=(0, 1)),
                            F.gamma, F.grid)

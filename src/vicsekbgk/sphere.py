@@ -128,11 +128,12 @@ def _as_param(J, d: int) -> np.ndarray:
     return J
 
 
-def _shifted_exp(J: np.ndarray, grid: SphereGrid) -> np.ndarray:
+def _shifted_exp(J: np.ndarray, grid: SphereGrid,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """exp(omega . J - |J|) at the nodes for J of shape (..., d), built in
-    place (the solver calls it on every cell of every substep); the values
-    are <= 1, so no concentration can overflow."""
-    e = J @ grid.nodes.T
+    place, in out if given (the solver calls it on every cell of every
+    substep); the values are <= 1, so no concentration can overflow."""
+    e = np.matmul(J, grid.nodes.T, out=out)
     e -= np.sqrt(np.square(J).sum(axis=-1, keepdims=True))
     np.exp(e, out=e)
     return e
@@ -150,19 +151,20 @@ def partition_function(J, grid: SphereGrid) -> float:
     return float(shifted * math.exp(jmag)) if jmag < 700.0 else math.inf
 
 
-def von_mises(J, grid: SphereGrid) -> np.ndarray:
+def von_mises(J, grid: SphereGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Nodal values of M_J, normalized so the grid quadrature of M_J is 1.
 
     J may be a batch of parameter vectors, shape (..., d); the result then
-    has shape (..., n).  Grid normalization (rather than an external Z)
-    makes Int M_J domega = 1 hold to round-off at any resolution, which the
-    kinetic solver relies on for exact discrete mass conservation.
+    has shape (..., n), and is written into out when that is given.  Grid
+    normalization (rather than an external Z) makes Int M_J domega = 1 hold
+    to round-off at any resolution, which the kinetic solver relies on for
+    exact discrete mass conservation.
     """
     J = np.asarray(J, dtype=float)
     if J.shape[-1:] != (grid.d,):
         raise ValueError(
             f"parameter vectors must have shape (..., {grid.d}), got {J.shape}")
-    e = _shifted_exp(J, grid)
+    e = _shifted_exp(J, grid, out)
     e /= (e @ grid.weights)[..., None]
     return e
 

@@ -285,6 +285,7 @@ def test_criterion_09_homogeneous_dynamics(capsys):
             f"(tol 1e-14), PDE/ODE error ratio {order:.2f} under dt halving")
 
 
+@pytest.mark.slow
 def test_criterion_10_linearized_decay(capsys):
     cfg = SolverConfig(mu=1.5, mode="linearized", nx=32, ntheta=64, dt=0.01,
                        t_end=30.0, snapshot_every=1, seed=11,
@@ -343,6 +344,7 @@ def test_criterion_11_rate_scaling(capsys):
             + " (tol r2 >= 0.95 each side)")
 
 
+@pytest.mark.slow
 def test_criterion_12_nonlinear_local_stability(capsys):
     amp = 1e-2
     cfg = SolverConfig(mu=2.2, nx=32, ntheta=64, dt=0.01, t_end=40.0,
@@ -363,6 +365,7 @@ def test_criterion_12_nonlinear_local_stability(capsys):
             f"(tol 5 x amplitude = {5 * amp})")
 
 
+@pytest.mark.slow
 def test_criterion_13_entropy_bound(capsys):
     fits = {}
     mass = 0.0

@@ -12,8 +12,8 @@ import pytest
 
 import vicsekbgk.cli as cli
 import vicsekbgk.linstab as linstab
-from vicsekbgk.solver import _CSV_BLOCK, SolverAbort
-from test_solver import _write_csv_per_value
+from vicsekbgk.solver import _CSV_BLOCK, DIAGNOSTICS_HEADER, SolverAbort
+from test_solver import _nan_after, _write_csv_per_value
 
 
 def _read_manifest(outdir):
@@ -346,6 +346,22 @@ def test_solver_abort_writes_failure_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["summary"]["last_valid_time"] == 0.5
     assert "non-finite" in manifest["summary"]["error"]
     assert manifest["outputs"] == []
+
+
+def test_solver_abort_manifest_records_last_good_row(tmp_path, monkeypatch):
+    # step 6 of 10 turns the state non-finite; samples fall every 2 steps
+    _nan_after(monkeypatch, 5)
+    rc = cli.main(["simulate", "--set", "nx=8", "--set", "ntheta=16",
+                   "--set", "dt=0.05", "--set", "t_end=0.5",
+                   "--set", "snapshot_every=2", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 1
+    summary = _read_manifest(tmp_path)["summary"]
+    assert summary["last_valid_time"] == 6 * 0.05
+    row = summary["last_good_row"]
+    assert row["t"] == 4 * 0.05
+    assert set(row) == set(DIAGNOSTICS_HEADER.split(","))
+    assert all(math.isfinite(v) for v in row.values())
 
 
 # ---------------------------------------------------------------------------

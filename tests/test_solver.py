@@ -471,6 +471,37 @@ def test_linearized_abort_time_matches_step_loop(monkeypatch):
     assert got.value.t == want.value.t == cfg.dt
 
 
+def _nan_after(monkeypatch, k):
+    """Make solver.step return a NaN spectrum from its (k + 1)-th call on."""
+    good, calls = solver.step, []
+
+    def failing(S, dt, config):
+        calls.append(1)
+        out = good(S, dt, config)
+        if len(calls) > k:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "step", failing)
+
+
+def test_solver_abort_carries_last_good_row(monkeypatch):
+    cfg = SolverConfig(mu=2.5, nx=8, ntheta=16, dt=0.05, t_end=0.5,
+                       snapshot_every=2,
+                       init=InitSpec(recipe="random-smooth", amplitude=0.5))
+    # the samples of a run that stops at step 4, the last one before the NaN
+    want = run(SolverConfig(**{**vars(cfg), "t_end": 0.2})).series
+    assert SolverAbort(1.0).last_good_row is None
+    _nan_after(monkeypatch, 5)
+    with pytest.raises(SolverAbort) as err:
+        run(cfg)
+    assert err.value.t == 6 * cfg.dt
+    row = err.value.last_good_row
+    assert row["t"] == 4 * cfg.dt
+    assert row == {c: float(getattr(want, c)[-1]) for c in row}
+    assert set(row) == set(DIAGNOSTICS_HEADER.split(","))
+
+
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------

@@ -208,6 +208,14 @@ def test_von_mises_batch_matches_single():
         von_mises(np.zeros((4, 3)), grid)
 
 
+def test_von_mises_into_out_is_bit_identical():
+    grid = build_sphere_grid(2, 32)
+    J = np.array([[[0.0, 0.0], [1.5, -0.3]], [[-2.0, 4.0], [0.2, 0.1]]])
+    out = np.full((2, 2, 32), np.nan)
+    assert von_mises(J, grid, out=out) is out
+    assert np.array_equal(out, von_mises(J, grid))
+
+
 def test_moment_length_mismatch():
     grid = build_sphere_grid(2, 32)
     with pytest.raises(ValueError):
