@@ -636,6 +636,8 @@ def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
 
     Defaults reproduce the certification sweep: z on the step-0.25 rectangle
     [-delta, 2] x [-50i, 50i], k on the half lattice 0 < |k| <= 5 gamma.
+    Raises FloatingPointError naming the first (z, k) where h or sigma_min
+    is not finite (an exact zero of det(Id - mu A), say).
     """
     if z_values is None:
         z_values = default_z_grid(delta=delta)
@@ -652,6 +654,11 @@ def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
     sig = np.empty_like(re_h)
     for i, kv in enumerate(k):
         out = _coefficient_batch(z, kv, mu, J)
+        bad = ~(np.isfinite(out["h"]) & np.isfinite(out["sigma_min"]))
+        if bad.any():
+            raise FloatingPointError(
+                f"non-finite h or sigma_min at z = {z[np.argmax(bad)]}, "
+                f"k = ({kv[0]:g}, {kv[1]:g})")
         re_h[i] = out["h"].real
         sig[i] = out["sigma_min"]
     ih = np.unravel_index(np.argmin(re_h), re_h.shape)

@@ -33,23 +33,16 @@ sides are supported:
 * "linearized":   the dynamics linearized at an equilibrium (mu, J_eq); the
                   stored field is the perturbation f with Int Int f = 0.  The
                   collision substep is one fixed map, e^{-h} Id plus a rank-3
-                  term (rho, J) -> (rho, J) . V, built once per (grid,
-                  operator, dt).  It acts pointwise in x, so it applies to
-                  the spectrum directly: the moment GEMM, then a second real
-                  GEMM that expands (rho, J) back over the float view.  A
-                  step needs no FFT at all.  Two such maps compose to one of
-                  the same form, e^{-2h} Id plus a rank-3 term, so `run`
-                  applies each step's closing collision and the next step's
-                  opening one as a single merged pair between samples;
+                  term (rho, J) -> (rho, J) . V.  It acts pointwise in x, so
+                  it applies to the spectrum as two real GEMMs, and a step
+                  needs no FFT.  `run` merges each step's closing collision
+                  with the next step's opening one between samples;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
 
-Nodal values are formed with one irfft2 only at diagnostics and snapshot
-times; `init_field`, the diagnostics and the snapshots all see nodal fields.
-
-Every rule on the fields of a SolverConfig and its InitSpec is stated once,
-in `validate`.  It runs when the config is used (`init_field`, `run`), not
-when it is built, and the command line calls it before computing anything.
+Nodal values are formed with one irfft2 only at sample times; of the
+diagnostics only entropy and the density extremes read them.  Every rule on
+a SolverConfig is stated once, in `validate`.
 
 Normalization: fields are normalized so the *mean* density
 (2pi)^{-2} Int Int F dx domega equals mu; the equilibrium field is then
@@ -249,8 +242,7 @@ def _moment_weights(grid: SphereGrid) -> np.ndarray:
 
 def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Angular moments (rho, J_x, J_y) over the last (theta) axis of nodal
-    values, stacked on a new first axis.  The steps read the moments of the
-    spectrum through the workspace's W2."""
+    values, stacked on a new first axis (the steps use the workspace's W2)."""
     flat = values.reshape(-1, values.shape[-1])
     return (weights @ flat.T).reshape((3,) + values.shape[:-1])
 
@@ -273,8 +265,7 @@ def _half_phase(nx: int, gamma: float, dt: float, grid: SphereGrid) -> np.ndarra
 
 def _interleave(A: np.ndarray) -> np.ndarray:
     """The real matrix that applies A to the (Re, Im) pairs of a complex
-    vector's float view: A on the even rows and columns, A again on the odd
-    ones, zero elsewhere."""
+    vector's float view: A on the even and on the odd rows and columns."""
     out = np.zeros((2 * A.shape[0], 2 * A.shape[1]))
     out[0::2, 0::2] = A
     out[1::2, 1::2] = A
@@ -282,9 +273,8 @@ def _interleave(A: np.ndarray) -> np.ndarray:
 
 
 def _float_rows(S: np.ndarray) -> np.ndarray:
-    """The float view of the half-spectrum S, one row of 2 ntheta
-    interleaved (Re, Im) values per cell; a copy only if S is not
-    C-contiguous."""
+    """The float view of the half-spectrum S, one row of 2 ntheta interleaved
+    (Re, Im) values per cell; a copy only if S is not C-contiguous."""
     return np.ascontiguousarray(S).view(float).reshape(-1, 2 * S.shape[-1])
 
 
@@ -389,10 +379,11 @@ def _collide(S: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
 
 def _rank3(R: np.ndarray, W2: np.ndarray, V: np.ndarray, decay: float,
            M: np.ndarray | None = None, T: np.ndarray | None = None) -> np.ndarray:
-    """R <- decay R + (R @ W2) @ V in place on float rows R, with M and T
-    optional scratch for the moments and the rank-3 term; returns R."""
+    """R <- decay R + (R @ W2) @ V in place on float rows R, with no scaling
+    pass at decay 1 and M, T optional scratch for the products; returns R."""
     T = np.matmul(np.matmul(R, W2, out=M), V, out=T)
-    R *= decay
+    if decay != 1.0:
+        R *= decay
     R += T
     return R
 
@@ -516,16 +507,29 @@ def field_moments(F: PhaseField) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.stack([Jx, Jy], axis=-1)
 
 
+def _spectral_sums(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Fbar, osc) of the real field F whose rfft2 half-spectrum is S: Fbar =
+    Re S[0, 0] / nx^2 and, by Parseval, osc = sum of (F - Fbar)^2 = sum over
+    m != 0 of mult |S_m|^2 / nx^2, mult 1 on the m2 = 0 and Nyquist columns
+    and 2 on the others (each stands for a conjugate pair)."""
+    nx = S.shape[0]
+    R = _float_rows(S)
+    p = np.einsum("ij,ij->i", R, R).reshape(nx, -1)
+    p[0, 0] = 0.0
+    p[:, 1:nx // 2] *= 2.0
+    return S[0, 0].real / nx**2, float(p.sum()) / nx**2
+
+
 def entropy_functional(F: PhaseField) -> float:
     """Int (1/e + F log F) dx domega, with F log F extended by 0 at F <= 0."""
     v = F.values
     dvol = (2.0 * math.pi / F.nx) ** 2 * (2.0 * math.pi / F.ntheta)
-    pos = v > 0.0
-    s = float(np.sum(np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)) * dvol)
-    return s + (2.0 * math.pi) ** 3 / math.e
+    logv = np.zeros_like(v)
+    np.log(v, out=logv, where=v > 0.0)
+    return float(v.ravel() @ logv.ravel()) * dvol + (2.0 * math.pi) ** 3 / math.e
 
 
-def dist_to_manifold(F: PhaseField, mu: float) -> float:
+def dist_to_manifold(F: PhaseField, mu: float, *, sums=None) -> float:
     """L^2(dx dtheta) distance from F to the equilibrium family {mu M_J}.
 
     For mu <= 2 the family is the single uniform state.  Above threshold the
@@ -533,24 +537,23 @@ def dist_to_manifold(F: PhaseField, mu: float) -> float:
 
         ||F - Fbar||^2 + (2pi)^2 ||Fbar - mu M_phi||^2_theta,
 
-    with Fbar(theta) the spatial mean of F.  Both terms are sums of squared
-    differences, so a distance far below ||F|| keeps its digits.  The
-    direction minimizing the theta-only term is located by a coarse circular
-    scan refined with golden-section search (absolute tolerance 1e-12); the
-    search is seeded by, and in practice agrees with, the direction of the
-    mean flux of F.
+    with Fbar(theta) the spatial mean of F.  Both come from the sums
+    (Fbar, osc) of S = rfft2(F) (_spectral_sums, which `diagnostics`
+    passes): Fbar = Re S[0, 0] / nx^2, and by Parseval ||F - Fbar||^2 is
+    osc dx^2 wq, osc the sum over m != 0 of mult |S_m|^2 / nx^2 (mult 1 on
+    the m2 = 0 and Nyquist columns, 2 elsewhere).  Both are sums of squares,
+    so a distance far below ||F|| keeps its digits.  The direction
+    minimizing the theta-only term is found by a coarse circular scan, seeded
+    by the mean flux direction, refined by golden-section search to 1e-12.
     """
-    grid = F.grid
-    wq = 2.0 * math.pi / F.ntheta
-    dx2 = (2.0 * math.pi / F.nx) ** 2
-    if mu <= 2.0:
-        m0 = np.full(F.ntheta, 1.0 / (2.0 * math.pi))
-        diff2 = float(np.sum((F.values - mu * m0) ** 2)) * dx2 * wq
-        return math.sqrt(max(diff2, 0.0))
-    L = solve_L(mu, 2)
-    Fbar = F.values.mean(axis=(0, 1))
-    spread2 = float(np.sum((F.values - Fbar) ** 2)) * dx2 * wq
+    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(F.values, axes=(0, 1)))
+    grid, wq = F.grid, 2.0 * math.pi / F.ntheta
+    spread2 = osc * (2.0 * math.pi / F.nx) ** 2 * wq
     area2 = (2.0 * math.pi) ** 2
+    if mu <= 2.0:
+        return math.sqrt(spread2 + area2 * float(
+            np.sum((Fbar - mu / (2.0 * math.pi)) ** 2)) * wq)
+    L = solve_L(mu, 2)
 
     def gap(phi):
         """Squared theta-distance to mu M_phi, for one phi or an array."""
@@ -579,41 +582,38 @@ def dist_to_manifold(F: PhaseField, mu: float) -> float:
     return math.sqrt(spread2 + area2 * min(fc, fd))
 
 
-def diagnostics(F: PhaseField, mu: float) -> dict:
+def diagnostics(F: PhaseField, mu: float, *, sums=None, background=None) -> dict:
     """Diagnostics of a physical field: mean mass/flux, L^2 norm, entropy,
-    distance to the equilibrium family, density extremes."""
-    rho, J = field_moments(F)
-    dx2 = (2.0 * math.pi / F.nx) ** 2
-    wq = 2.0 * math.pi / F.ntheta
-    jbar = J.mean(axis=(0, 1))
-    return {
-        "mass": float(rho.mean()),
-        "jbar_x": float(jbar[0]),
-        "jbar_y": float(jbar[1]),
-        "l2": float(math.sqrt(np.sum(F.values**2) * dx2 * wq)),
-        "entropy": entropy_functional(F),
-        "dist": dist_to_manifold(F, mu),
-        "rho_min": float(rho.min()),
-        "rho_max": float(rho.max()),
-    }
+    distance to the equilibrium family, density extremes.
+
+    All but entropy and the density extremes come from the sums (Fbar, osc)
+    of F's half-spectrum (_spectral_sums; `run` passes those of its state):
+    mass and flux are the moments of Fbar, l2^2 = (nx^2 |Fbar|^2 + osc) dx^2
+    wq by Parseval.  With `background`, an (ntheta,) uniform field, F is a
+    perturbation: mass, flux and l2 are F's, the rest background + F's."""
+    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(F.values, axes=(0, 1)))
+    grid, nx = F.grid, F.nx
+    mass, jx, jy = _moment_weights(grid) @ Fbar
+    dvol = (2.0 * math.pi / nx) ** 2 * 2.0 * math.pi / F.ntheta
+    l2 = math.sqrt((nx * nx * float(Fbar @ Fbar) + osc) * dvol)
+    if background is not None:
+        F = PhaseField(background + F.values, F.gamma, grid)
+        Fbar = background + Fbar
+    rho = F.values.reshape(-1, F.ntheta) @ grid.weights
+    return {"mass": float(mass), "jbar_x": float(jx), "jbar_y": float(jy),
+            "l2": l2, "entropy": entropy_functional(F),
+            "dist": dist_to_manifold(F, mu, sums=(Fbar, osc)),
+            "rho_min": float(rho.min()), "rho_max": float(rho.max())}
 
 
-def _diagnostics_row(F: PhaseField, t: float, config: SolverConfig,
-                     ws: _Workspace) -> dict:
-    if config.mode == "linearized":
-        phys = PhaseField(config.mu * ws.Meq + F.values, F.gamma, F.grid)
-        row = diagnostics(phys, config.mu)
-        rho, J = field_moments(F)
-        jbar = J.mean(axis=(0, 1))
-        row["mass"] = float(rho.mean())
-        row["jbar_x"], row["jbar_y"] = float(jbar[0]), float(jbar[1])
-        row["l2"] = float(math.sqrt(
-            np.sum(F.values**2) * (2.0 * math.pi / F.nx) ** 2
-            * 2.0 * math.pi / F.ntheta))
-    else:
-        row = diagnostics(F, config.mu)
-    row["t"] = float(t)
-    return row
+def _diagnostics_row(values: np.ndarray, S: np.ndarray, t: float,
+                     config: SolverConfig, ws: _Workspace) -> dict:
+    """The row at time t of nodal values and their half-spectrum S (the
+    perturbation's, in linearized mode)."""
+    background = config.mu * ws.Meq if config.mode == "linearized" else None
+    return {**diagnostics(PhaseField(values, config.gamma, ws.grid), config.mu,
+                          sums=_spectral_sums(S), background=background),
+            "t": float(t)}
 
 
 @dataclass
@@ -637,43 +637,51 @@ def run(config: SolverConfig) -> RunResult:
 
     Nonlinear and regularized runs call `step`.  A linearized run keeps, in
     place, the state U = P C S after a step's transport P and before its
-    closing collision C, so a step with no sample is one merged pair,
-    U <- P (C C U), and a sample takes S = C U, then continues with
-    U <- P C S: n steps with s samples apply n + s rank-3 maps, not 2 n.
+    closing collision C.  A step with no sample is one merged pair
+    U <- P (C C U), whose decay e^{-2h} rides on P; a sample takes S = C U
+    and continues with U <- P C S: n + s rank-3 maps for n steps with s
+    samples.  Finiteness is read off each map's moments, in which every
+    theta entry has the density weight 2pi/ntheta > 0.
     """
     validate(config)
     nsteps = _num_steps(config)
     ws = _workspace_of(config, config.dt)
-    F = init_field(config)
-    rows = [_diagnostics_row(F, 0.0, config, ws)]
-    snaps = [(0.0, F.values)]
-    S = np.fft.rfft2(F.values, axes=(0, 1))
+    values = init_field(config).values
+    S = np.fft.rfft2(values, axes=(0, 1))
+    rows = [_diagnostics_row(values, S, 0.0, config, ws)]
+    snaps = [(0.0, values)]
     linear = config.mode == "linearized"
     if linear:  # S's own float rows, which the loop advances in place
+        if not np.isfinite(S.view(float)).all():
+            raise SolverAbort(config.dt, rows[-1])
         R = _float_rows(S)
         M, T = np.empty((R.shape[0], ws.W2.shape[1])), np.empty_like(R)
+        pair = (ws.V2pair / ws.decay2, 1.0, ws.decay2 * ws.phase)
     sample = True  # t = 0
     for i in range(1, nsteps + 1):
+        t = i * config.dt
         if not linear:
             S = step(S, config.dt, config)
+            if not np.isfinite(S.view(float)).all():  # both parts, as floats
+                raise SolverAbort(t, rows[-1])
         else:  # U <- P C S after a sample, U <- P C C U otherwise
-            V, decay = (ws.V2, ws.decay) if sample else (ws.V2pair, ws.decay2)
+            V, decay, P = (ws.V2, ws.decay, ws.phase) if sample else pair
             _rank3(R, ws.W2, V, decay, M, T)
-            S *= ws.phase
+            if not np.isfinite(M).all():  # the moments of step i - 1's state
+                raise SolverAbort((i - 1) * config.dt, rows[-1])
+            S *= P
         sample = i % config.snapshot_every == 0 or i == nsteps
         if linear and sample:  # the Strang state S = C U
             _rank3(R, ws.W2, ws.V2, ws.decay, M, T)
-        t = i * config.dt
-        if not np.isfinite(S.view(float)).all():  # both parts, as floats
-            raise SolverAbort(t, rows[-1])
+            if not np.isfinite(M).all():  # the moments of U
+                raise SolverAbort(t, rows[-1])
         if sample:
-            F = PhaseField(np.fft.irfft2(S, s=ws.shape, axes=(0, 1)),
-                           F.gamma, F.grid)
-            rows.append(_diagnostics_row(F, t, config, ws))
+            values = np.fft.irfft2(S, s=ws.shape, axes=(0, 1))
+            rows.append(_diagnostics_row(values, S, t, config, ws))
             if config.keep_snapshots:
-                snaps.append((t, F.values))
+                snaps.append((t, values))
     if not config.keep_snapshots:
-        snaps.append((nsteps * config.dt, F.values))
+        snaps.append((nsteps * config.dt, values))
     return RunResult(config=config, series=DiagnosticsSeries.from_rows(rows),
                      snapshots=snaps)
 
@@ -753,11 +761,10 @@ _CSV_BLOCK = 4096
 
 def _distinct_keys(column: np.ndarray):
     """The sorted distinct float64 bit patterns of ``column`` as int64 keys
-    (so -0.0 and 0.0, and NaNs of different bits, stay apart), or None if
-    there are more than _CSV_BLOCK of them or more than half as many as
-    rows, or if the column fits in one block: then formatting each value
-    once saves too little to pay for the sort and the lookup.  Sorting the
-    bit view stands in for np.unique, whose first call imports numpy.ma."""
+    (-0.0 and 0.0, and NaNs of different bits, stay apart), or None if the
+    column fits in one block or has more than min(_CSV_BLOCK, rows / 2) of
+    them: then formatting each value once does not pay for the sort.  The
+    bit view's sort stands in for np.unique, which imports numpy.ma."""
     if column.size <= _CSV_BLOCK:
         return None
     keys = np.sort(column.view(np.int64))
@@ -773,15 +780,10 @@ def _write_csv(path, header: str, columns) -> None:
     """Write a table given as equal-length 1-D columns: the header line,
     then one line per row of floats at 17 significant digits (round-trip
     exact), \\n line endings.  Every CSV of the package goes through here.
-
-    A column longer than one block with at most _CSV_BLOCK distinct values,
-    each repeated twice on average (such as the tiled z and repeated k of
-    the dispersion table), has each distinct value formatted once; its rows take those
-    strings by a binary search of their bit patterns.  The other columns
-    are formatted as they are written.  Each block of _CSV_BLOCK rows is one
-    %-operation over a flat list of the block's fields, so the writer holds
-    one block of strings plus the formatted distinct values at a time, and
-    never a copy of the table."""
+    A column with few distinct values (see _distinct_keys), such as the
+    tiled z and repeated k of the dispersion table, has each value formatted
+    once and looked up by its bit pattern.  Each block of _CSV_BLOCK rows is
+    one %-operation, so the writer never holds the table as strings."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
         raise ValueError("CSV columns must be 1-D arrays of one length")
@@ -825,10 +827,8 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
 def write_snapshot(basepath, values: np.ndarray, *, gamma: float, mu: float,
                    t: float, mode: str) -> tuple[str, str]:
     """Write one field snapshot: raw little-endian float64 (x1, x2, theta in
-    row-major order) plus a JSON sidecar with the grid geometry.
-
-    basepath is the path without extension; returns (raw_path, json_path).
-    """
+    row-major order) plus a JSON sidecar with the grid geometry, at basepath
+    (the path without extension); returns (raw_path, json_path)."""
     base = os.fspath(basepath)
     raw_path, json_path = base + ".f64", base + ".json"
     arr = np.ascontiguousarray(values, dtype="<f8")

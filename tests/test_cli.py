@@ -13,6 +13,7 @@ import pytest
 import vicsekbgk.cli as cli
 import vicsekbgk.linstab as linstab
 from vicsekbgk.solver import _CSV_BLOCK, DIAGNOSTICS_HEADER, SolverAbort
+from test_linstab import _singular_at
 from test_solver import _nan_after, _write_csv_per_value
 
 
@@ -403,6 +404,18 @@ def test_numerical_failure_writes_failure_manifest(tmp_path, capsys):
         "error": "initial field is negative; reduce the amplitude",
         "error_type": "ValueError"}
     assert manifest["outputs"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_non_finite_sweep_writes_failure_manifest(tmp_path, monkeypatch, capsys):
+    _singular_at(monkeypatch, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = cli.main(["dispersion", "--set", "im_max=1.0", "--quiet",
+                       "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "non-finite h or sigma_min at z = " in capsys.readouterr().err
+    summary = _read_manifest(tmp_path)["summary"]
+    assert summary["error_type"] == "FloatingPointError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -454,6 +455,28 @@ def test_lattice_without_a_wavenumber_has_two_columns():
 def test_dispersion_sweep_names_k_max_below_the_lattice():
     with pytest.raises(ValueError, match="k_max"):
         dispersion_sweep(1.9, 10.0, k_max=5.0)
+
+
+def _singular_at(monkeypatch, j):
+    """Make det(Id - mu A) exactly 0 at the j-th z of every k's batch."""
+    det_adjugate = linstab._det_adjugate_2d
+
+    def singular(Mop, bvec):
+        det, adjb = det_adjugate(Mop, bvec)
+        det[j] = 0.0
+        return det, adjb
+
+    monkeypatch.setattr(linstab, "_det_adjugate_2d", singular)
+
+
+def test_dispersion_sweep_names_a_non_finite_point(monkeypatch):
+    # np.argmin returned the NaN's index and NaN < 0.2 is false, so a sweep
+    # summary read min_re_h NaN, unflagged
+    z = default_z_grid(im_max=1.0)
+    _singular_at(monkeypatch, 3)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=re.escape(f"z = {z[3]}, k = (10, 0)")):
+        dispersion_sweep(1.9, 10.0, z_values=z, k_vectors=[[10.0, 0.0]])
 
 
 @pytest.mark.parametrize("fn", [abscissa_candidates, spectral_abscissa])

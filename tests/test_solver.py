@@ -381,18 +381,22 @@ def test_solver_abort_carries_time():
 
 def _step_loop(cfg):
     """Nodal snapshots at run's sample steps from a plain loop of step, the
-    one-step oracle; raises SolverAbort like run."""
+    one-step oracle; raises SolverAbort like run, with the row of the last
+    sample."""
     F = solver.init_field(cfg)
     S = np.fft.rfft2(F.values, axes=(0, 1))
     n = solver._num_steps(cfg)
     snaps = [(0.0, F.values)]
+    last = (F.values, S, 0.0)
     for i in range(1, n + 1):
         S = step(S, cfg.dt, cfg)
         if not np.isfinite(S.view(float)).all():
-            raise SolverAbort(i * cfg.dt)
+            ws = solver._workspace_of(cfg, cfg.dt)
+            raise SolverAbort(i * cfg.dt, solver._diagnostics_row(*last, cfg, ws))
         if i % cfg.snapshot_every == 0 or i == n:
             snaps.append((i * cfg.dt, np.fft.irfft2(S, s=(cfg.nx, cfg.nx),
                                                     axes=(0, 1))))
+            last = (snaps[-1][1], S, i * cfg.dt)
     return snaps
 
 
@@ -469,6 +473,32 @@ def test_linearized_abort_time_matches_step_loop(monkeypatch):
     with pytest.raises(SolverAbort) as want:
         _step_loop(cfg)
     assert got.value.t == want.value.t == cfg.dt
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_linearized_overflow_abort_matches_step_loop(monkeypatch, every):
+    # the state is first non-finite after step 3, a sample step for every = 1
+    # and a merged one for every = 2: the perturbation starts at 1e-250 and
+    # the transport multiplies the half-spectrum cell (2, 1) by 1e200 per
+    # step, so that cell reaches ~1e150 after step 2 and overflows in step 3
+    cfg = _linear_config(snapshot_every=every, init=InitSpec(
+        recipe="random-smooth", amplitude=1e-250))
+    ws = solver._workspace_of(cfg, cfg.dt)
+    phase = ws.phase.copy()
+    phase[2, 1] *= 1e200
+    monkeypatch.setattr(ws, "phase", phase)
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverAbort) as got:
+        run(cfg)
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverAbort) as want:
+        _step_loop(cfg)
+    assert got.value.t == want.value.t == 3 * cfg.dt
+    row, ref = got.value.last_good_row, want.value.last_good_row
+    assert row["t"] == ref["t"] == 2 * cfg.dt
+    assert ref["l2"] > 1e100
+    for c in ref:  # mass and mean flux are round-off of a 1e-250 field
+        assert abs(row[c] - ref[c]) <= 1e-12 * abs(ref[c]) + 1e-240, c
+    if every == 1:  # the same operations as step
+        assert row == ref
 
 
 def _nan_after(monkeypatch, k):

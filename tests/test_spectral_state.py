@@ -155,16 +155,16 @@ def test_nyquist_field_has_nyquist_content():
 
 
 # ---------------------------------------------------------------------------
-# transform count of one step
+# transform counts of one step and of a run
 # ---------------------------------------------------------------------------
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
-def _count_transforms(monkeypatch, cfg):
-    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
-    step(S, cfg.dt, cfg)        # build the workspace outside the count
+def _record_transforms(monkeypatch):
+    """The list that (name, input shape) of every numpy.fft call from now
+    on is appended to."""
     calls = []
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
@@ -174,6 +174,13 @@ def _count_transforms(monkeypatch, cfg):
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _count_transforms(monkeypatch, cfg):
+    S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
+    step(S, cfg.dt, cfg)        # build the workspace outside the count
+    calls = _record_transforms(monkeypatch)
     step(S, cfg.dt, cfg)
     return calls
 
@@ -193,6 +200,19 @@ def test_linearized_step_needs_no_transform(monkeypatch):
     cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32, dt=0.01,
                        init=InitSpec(recipe="random-smooth"))
     assert _count_transforms(monkeypatch, cfg) == []
+
+
+def test_linearized_run_transforms_once_per_sample(monkeypatch):
+    # the initial rfft2, then one irfft2 per sample: the diagnostics read
+    # the spectrum the run holds, with no forward transform of a sample
+    cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32, dt=0.01,
+                       t_end=0.23, snapshot_every=5, jeq_angle=0.4,
+                       init=InitSpec(recipe="random-smooth", amplitude=0.5))
+    solver.init_field(cfg)      # build the workspace outside the count
+    calls = _record_transforms(monkeypatch)
+    nsamples = len(run(cfg).series) - 1
+    assert nsamples == 5
+    assert calls == [("rfft2", (16, 16, 32))] + [("irfft2", (16, 9, 32))] * nsamples
 
 
 # ---------------------------------------------------------------------------
