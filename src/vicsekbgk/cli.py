@@ -405,14 +405,13 @@ def _run_dispersion(c: dict, outdir: str):
                               im_max=c["im_max"], step=c["z_step"])
     sweep = dispersion_sweep(c["mu"], c["gamma"], z_values=z_values,
                              k_max=c["k_max"], delta=c["delta"])
-    # one row per (k, z) pair, k-major
-    nk, nz = sweep.re_h.shape
+    # one row per (k, z) pair, k-major: z and k as (nk, nz) views
+    shape, z, k = sweep.re_h.shape, sweep.z_values, sweep.k_vectors
     path = os.path.join(outdir, "dispersion.csv")
     _write_csv(path, "z_re,z_im,k1,k2,min_singular,re_h",
-               (np.tile(sweep.z_values.real, nk), np.tile(sweep.z_values.imag, nk),
-                np.repeat(sweep.k_vectors[:, 0], nz),
-                np.repeat(sweep.k_vectors[:, 1], nz),
-                sweep.sigma_min.ravel(), sweep.re_h.ravel()))
+               (np.broadcast_to(z.real, shape), np.broadcast_to(z.imag, shape),
+                np.broadcast_to(k[:, :1], shape), np.broadcast_to(k[:, 1:], shape),
+                sweep.sigma_min, sweep.re_h))
     below = int(np.count_nonzero(sweep.re_h < 0.2))
     summary = {
         "min_re_h": sweep.min_re_h,

@@ -17,7 +17,7 @@ whose zeros (together with the zeros of det(Id - mu A) and the k = 0 moment
 rates) control the decay of the linearized semigroup.
 
 The dispersion coefficients are computed for d = 2, the torus of the solver
-and of every sweep.  Each runs through one path, ``_coefficient_batch``: the
+and of every sweep.  Each runs through one path, ``_chunks``: the
 equilibrium columns (M, omega_i M, grad_J M, omega_i grad_J M) are built by
 one function on the circle and integrated against the kernel exactly: the
 kernel has the angular Fourier series sum_m S_m e^{im phi} with
@@ -25,9 +25,8 @@ S_m = rho^|m| / w, w = sqrt((1+z)^2 + |k|^2), rho = -i|k|/(w + 1 + z),
 |rho| < 1, and the von Mises factors have superexponentially decaying
 Fourier coefficients, so the integrals are short geometric contractions
 instead of quadratures whose node count would have to grow like |k|.  z is
-taken in chunks of a ~2 MB table, so a sweep's memory grows with nz only
-through the coefficients.  The axis coefficients and the bound budget also
-take d = 3.
+taken in chunks of a ~2 MB table of powers of rho, one per chunk and |k|.
+The axis coefficients and the bound budget also take d = 3.
 
 The spectral abscissa (d = 2) counts before it locates.  Multiplying h by
 det gives the division-free D = (1 - a) det - mu bbar^T adj(Id - mu A) b,
@@ -258,6 +257,33 @@ def _column_spectrum(J: tuple) -> np.ndarray:
     return ghat
 
 
+def _symmetrized(ghat: np.ndarray, shift: float) -> np.ndarray:
+    """The right factor of ``_kernel_sums``: g_0, g_m e^{im shift} +
+    g_{-m} e^{-im shift}, and g_{n/2} split between e^{+-i(n/2)theta}."""
+    ncols, n = ghat.shape
+    half = n // 2
+    phase = np.exp(1j * np.arange(1, half) * shift)
+    sym = np.empty((ncols, half + 1), dtype=complex)
+    sym[:, 0] = ghat[:, 0]
+    sym[:, 1:half] = ghat[:, 1:half] * phase + ghat[:, n - 1:n - half:-1] / phase
+    sym[:, half] = ghat[:, half] * math.cos(half * shift)
+    return sym.T
+
+
+def _power_table(zs: np.ndarray, b: float, half: int) -> np.ndarray:
+    """The left factor of ``_kernel_sums``, transposed: row m is 2 pi S_m,
+    each power of rho one contiguous row, formed in place."""
+    a = 1.0 + zs
+    w = np.sqrt(a * a + b * b)
+    rho = -1j * b / (w + a)          # cancellation-free; |rho| < 1 for Re a > 0
+    powers = np.empty((half + 1, zs.size), dtype=complex)
+    powers[0] = 1.0 / w
+    for j in range(1, half + 1):
+        np.multiply(powers[j - 1], rho, out=powers[j])
+    powers *= 2.0 * np.pi            # in place, so a call holds one table
+    return powers
+
+
 def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
                  shift: float = 0.0) -> np.ndarray:
     """Int g(theta) / (a + i b cos(theta - shift)) dtheta for each row g.
@@ -272,45 +298,43 @@ def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
         Int g K = 2 pi [ g_0 S_0 + sum_{m>=1} (g_m e^{im shift}
                                                + g_{-m} e^{-im shift}) S_m ].
 
-    Returns shape (nz, ncols).  Exact up to the trigonometric interpolation
-    of g, i.e. machine precision for every b once g is resolved.
+    Returns shape (nz, ncols): a GEMM of the powers, which depend on |k|
+    only, with the symmetrized g.  Exact up to the trigonometric
+    interpolation of g, i.e. machine precision for every b once g is
+    resolved.
     """
-    ncols, n = ghat.shape
-    a = 1.0 + zs
-    half = n // 2
-    m = np.arange(1, half)
-    phase = np.exp(1j * m * shift)
-    sym = np.empty((ncols, half + 1), dtype=complex)
-    sym[:, 0] = ghat[:, 0]
-    sym[:, 1:half] = ghat[:, 1:half] * phase + ghat[:, n - 1:n - half:-1] / phase
-    # Nyquist coefficient split symmetrically between e^{+-i(n/2)theta}
-    sym[:, half] = ghat[:, half] * math.cos(half * shift)
-    w = np.sqrt(a * a + b * b)
-    rho = -1j * b / (w + a)          # cancellation-free; |rho| < 1 for Re a > 0
-    # (half+1, nz): each power of rho is one contiguous row
-    powers = np.empty((half + 1, zs.size), dtype=complex)
-    powers[0] = 1.0 / w
-    for j in range(1, half + 1):
-        powers[j] = powers[j - 1] * rho
-    powers *= 2.0 * np.pi            # in place, so a call holds one table
-    return powers.T @ sym.T
+    return _power_table(zs, b, ghat.shape[1] // 2).T @ _symmetrized(ghat, shift)
 
 
 # complex entries of the power table one z chunk builds (~2 MB)
 _TABLE = 1 << 17
 
 
+def _chunks(zs: np.ndarray, k: np.ndarray, J: np.ndarray):
+    """Yield (i, z slice, ``_kernel_sums`` of the equilibrium columns) for
+    each row k[i]: z chunks of at most _TABLE table entries outermost, and
+    in each one power table per distinct |k|, which the k of that length
+    share."""
+    ghat = _column_spectrum(tuple(map(float, J)))
+    half = ghat.shape[1] // 2
+    lengths = {}
+    for i, kv in enumerate(k):
+        lengths.setdefault(float(np.linalg.norm(kv)), []).append(i)
+    chunk = max(1, _TABLE // (half + 1))
+    for start in range(0, zs.size, chunk):
+        part = slice(start, start + chunk)
+        for kmag, members in lengths.items():
+            powers = _power_table(zs[part], kmag, half).T
+            for i in members:
+                yield i, part, powers @ _symmetrized(ghat, math.atan2(k[i, 1], k[i, 0]))
+
+
 def _integrals(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
     """The equilibrium columns integrated against the kernel at a batch of z
-    for one k, by the exact kernel expansion; one row per z.  The z are
-    taken in chunks whose table has at most _TABLE entries."""
-    ghat = _column_spectrum(tuple(map(float, J)))
-    kmag, alpha = float(np.linalg.norm(k)), math.atan2(k[1], k[0])
-    chunk = max(1, _TABLE // (ghat.shape[1] // 2 + 1))
-    T = np.empty((zs.size, ghat.shape[0]), dtype=complex)
-    for start in range(0, zs.size, chunk):
-        T[start:start + chunk] = _kernel_sums(ghat, zs[start:start + chunk],
-                                              kmag, shift=alpha)
+    for one k, by the exact kernel expansion; one row per z."""
+    T = np.empty((zs.size, 9), dtype=complex)     # the rows of _fourier_columns_2d
+    for _, part, chunk in _chunks(zs, k[None], J):
+        T[part] = chunk
     return T
 
 
@@ -636,8 +660,9 @@ def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
 
     Defaults reproduce the certification sweep: z on the step-0.25 rectangle
     [-delta, 2] x [-50i, 50i], k on the half lattice 0 < |k| <= 5 gamma.
-    Raises FloatingPointError naming the first (z, k) where h or sigma_min
-    is not finite (an exact zero of det(Id - mu A), say).
+    Each z chunk builds one power table per |k| (``_chunks``).  Raises
+    FloatingPointError naming the first (z, k), k-major, where h or
+    sigma_min is not finite (an exact zero of det(Id - mu A), say).
     """
     if z_values is None:
         z_values = default_z_grid(delta=delta)
@@ -648,19 +673,21 @@ def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
         raise ValueError(f"wavenumbers must have shape (2,), got "
                          f"{np.shape(k_vectors)}")
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
+    if np.any(z.real <= -1.0):
+        raise ValueError("need Re z > -1")
     k = np.atleast_2d(np.asarray(k_vectors, dtype=float))
-    J = _check_equilibrium(mu, J, 2)
     re_h = np.empty((k.shape[0], z.size))
     sig = np.empty_like(re_h)
-    for i, kv in enumerate(k):
-        out = _coefficient_batch(z, kv, mu, J)
-        bad = ~(np.isfinite(out["h"]) & np.isfinite(out["sigma_min"]))
-        if bad.any():
-            raise FloatingPointError(
-                f"non-finite h or sigma_min at z = {z[np.argmax(bad)]}, "
-                f"k = ({kv[0]:g}, {kv[1]:g})")
-        re_h[i] = out["h"].real
-        sig[i] = out["sigma_min"]
+    bad = np.zeros(re_h.shape, dtype=bool)
+    for i, part, T in _chunks(z, k, _check_equilibrium(mu, J, 2)):
+        out = _assemble(T, mu)
+        re_h[i, part] = out["h"].real
+        sig[i, part] = out["sigma_min"]
+        bad[i, part] = ~(np.isfinite(out["h"]) & np.isfinite(out["sigma_min"]))
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise FloatingPointError(f"non-finite h or sigma_min at z = {z[j]}, "
+                                 f"k = ({k[i, 0]:g}, {k[i, 1]:g})")
     ih = np.unravel_index(np.argmin(re_h), re_h.shape)
     isg = np.unravel_index(np.argmin(sig), sig.shape)
     return SweepResult(

@@ -754,57 +754,54 @@ def fit_entropy_growth(series: DiagnosticsSeries) -> EntropyFit:
 # on-disk formats
 # ---------------------------------------------------------------------------
 
-# rows formatted by one %-operation of _write_csv, and the most distinct
-# values a column may hold to be formatted once per value
-_CSV_BLOCK = 4096
+# rows of a block of _write_csv; bytes of a field: "%.17g" and a comma
+_CSV_BLOCK, _CSV_FIELD = 4096, 25
+
+
+def _fixed_width(values: np.ndarray) -> np.ndarray:
+    """A byte matrix of the fields "%.17g," of a 1-D float array, padded
+    with spaces to _CSV_FIELD bytes; one %-operation per block."""
+    parts = (values[i:i + _CSV_BLOCK].tolist() for i in range(0, values.size, _CSV_BLOCK))
+    text = b"".join(b"%-24.17g," * len(part) % tuple(part) for part in parts)
+    return np.frombuffer(text, np.uint8).reshape(-1, _CSV_FIELD)
 
 
 def _distinct_keys(column: np.ndarray):
-    """The sorted distinct float64 bit patterns of ``column`` as int64 keys
-    (-0.0 and 0.0, and NaNs of different bits, stay apart), or None if the
-    column fits in one block or has more than min(_CSV_BLOCK, rows / 2) of
-    them: then formatting each value once does not pay for the sort.  The
-    bit view's sort stands in for np.unique, which imports numpy.ma."""
+    """The sorted distinct float64 bits of ``column`` as int64 keys (-0.0
+    and 0.0, NaNs of different bits, stay apart; a broadcast axis is read
+    once), or None if more than half its values are distinct or it fits in
+    one block.  The sort stands in for np.unique, which imports numpy.ma."""
     if column.size <= _CSV_BLOCK:
         return None
-    keys = np.sort(column.view(np.int64))
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    if np.count_nonzero(new) > min(_CSV_BLOCK, keys.size // 2):
-        return None
-    return keys[new]
+    base = column[tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)]
+    keys = np.sort(base.view(np.int64), axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return None if keys.size > column.size // 2 else keys
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write a table given as equal-length 1-D columns: the header line,
-    then one line per row of floats at 17 significant digits (round-trip
-    exact), \\n line endings.  Every CSV of the package goes through here.
-    A column with few distinct values (see _distinct_keys), such as the
-    tiled z and repeated k of the dispersion table, has each value formatted
-    once and looked up by its bit pattern.  Each block of _CSV_BLOCK rows is
-    one %-operation, so the writer never holds the table as strings."""
+    """Write a table given as columns of one size, each read in C order:
+    the header, then one line per row of floats at 17 significant digits
+    (round-trip exact), \\n endings; every CSV of the package.  A block of
+    rows is a byte matrix of fixed-width fields, written without padding.
+    A column with repeats (_distinct_keys), as all of the dispersion
+    table's, has each distinct value formatted once and looked up."""
     cols = [np.asarray(c, dtype=float) for c in columns]
-    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
-        raise ValueError("CSV columns must be 1-D arrays of one length")
-    ncols, nrows = len(cols), cols[0].size
+    if len({c.size for c in cols}) != 1:
+        raise ValueError("CSV columns must be arrays of one length")
     keys = [_distinct_keys(c) for c in cols]
-    # the formatted distinct values, in key order
-    texts = [None if k is None else
-             np.array(("%.17g " * k.size % tuple(k.view(float).tolist())).split(),
-                      dtype=object)
-             for k in keys]
-    line = ",".join("%.17g" if k is None else "%s" for k in keys) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, nrows, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, nrows)
-            fields = [None] * ((stop - start) * ncols)
+    texts = [None if k is None else _fixed_width(k.view(float)) for k in keys]
+    cells = np.empty((min(cols[0].size, _CSV_BLOCK), len(cols), _CSV_FIELD), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, cols[0].size, _CSV_BLOCK):
+            block = cells[:cols[0].size - start]
             for j, (col, k, text) in enumerate(zip(cols, keys, texts)):
-                values = col[start:stop]
-                fields[j::ncols] = (values.tolist() if k is None else
-                                    text[np.searchsorted(k, values.view(np.int64))].tolist())
-            fh.write((line * (stop - start)) % tuple(fields))
+                values = col.flat[start:start + len(block)]
+                block[:, j] = (_fixed_width(values) if k is None else
+                               text[np.searchsorted(k, values.view(np.int64))])
+            block[:, -1, -1] = ord("\n")      # the row's last comma
+            fh.write(block.tobytes().translate(None, b" "))
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:

@@ -386,10 +386,12 @@ def test_progress_lists_outputs_and_summary(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the package is run from the source tree, installed or not
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "vicsekbgk", "bifurcation", "--set", "num=3",
          "--quiet", "--output-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert (tmp_path / "branch.csv").exists()
 

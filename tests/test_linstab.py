@@ -893,3 +893,79 @@ def test_dispersion_sweep_memory_is_bounded_per_z():
     finally:
         tracemalloc.stop()
     assert peak < 1000 * zs.size
+
+
+# ---------------------------------------------------------------------------
+# the sweep: z chunks outermost, one power table per chunk and |k|
+# ---------------------------------------------------------------------------
+
+def _sweep_case(mu):
+    """A z grid of three chunks, the 14 wavenumbers with |k| <= 30 (six
+    lengths), and an equilibrium flux off the axes."""
+    J = solve_L(mu, 2) * np.array([0.6, 0.8]) if mu > 2 else np.zeros(2)
+    zs, ks = default_z_grid(im_max=30.0), lattice_wavenumbers(10.0, 30.0)
+    half = linstab._column_spectrum(tuple(J)).shape[1] // 2
+    chunks = -(-zs.size // (linstab._TABLE // (half + 1)))
+    assert chunks == 3
+    return J, zs, ks, chunks
+
+
+@pytest.mark.parametrize("mu", [1.9, 2.5])
+def test_sweep_is_bit_equal_to_a_loop_of_coefficient_batches(mu):
+    J, zs, ks, _ = _sweep_case(mu)
+    sweep = dispersion_sweep(mu, 10.0, J=J, z_values=zs, k_vectors=ks)
+    for i, k in enumerate(ks):
+        out = linstab._coefficient_batch(zs, k, mu, J)
+        assert sweep.re_h[i].tobytes() == out["h"].real.tobytes()
+        assert sweep.sigma_min[i].tobytes() == out["sigma_min"].tobytes()
+
+
+def test_sweep_builds_one_power_table_per_chunk_and_length(monkeypatch):
+    calls = []
+    table = linstab._power_table
+
+    def counting(zs, b, half):
+        calls.append(b)
+        return table(zs, b, half)
+
+    monkeypatch.setattr(linstab, "_power_table", counting)
+    J, zs, ks, chunks = _sweep_case(1.9)
+    dispersion_sweep(1.9, 10.0, z_values=zs, k_vectors=ks)
+    lengths = {float(np.linalg.norm(k)) for k in ks}
+    assert len(lengths) == 6 < len(ks)
+    assert len(calls) == chunks * len(lengths)
+    assert set(calls) == lengths
+
+
+def test_sweep_names_the_first_non_finite_point_k_major(monkeypatch):
+    # det is planted at 0 at two points; the sweep meets (k 9, z 5) first,
+    # in its first chunk, but (k 2, z in the last chunk) comes first k-major
+    mu = 1.9
+    J, zs, ks, _ = _sweep_case(mu)
+    planted = [(9, 5), (2, zs.size - 3)]
+    marks = [np.eye(2) - mu * linstab._coefficient_batch(zs, ks[i], mu, J)["A"][j]
+             for i, j in planted]
+    det_adjugate = linstab._det_adjugate_2d
+    hits = []
+
+    def planted_zero(Mop, bvec):
+        det, adjb = det_adjugate(Mop, bvec)
+        for mark in marks:
+            hit = np.all(Mop == mark, axis=(1, 2))
+            det[hit] = 0.0
+            hits.append(int(hit.sum()))
+        return det, adjb
+
+    monkeypatch.setattr(linstab, "_det_adjugate_2d", planted_zero)
+    i, j = planted[1]
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=re.escape(f"z = {zs[j]}, k = ({ks[i][0]:g}, {ks[i][1]:g})")):
+        dispersion_sweep(mu, 10.0, J=J, z_values=zs, k_vectors=ks)
+    assert sum(hits) == 2
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.5 + 2.0j])
+def test_dispersion_sweep_rejects_re_z_at_or_left_of_minus_one(z):
+    with pytest.raises(ValueError, match="Re z > -1"):
+        dispersion_sweep(1.9, 10.0, z_values=[0.5, z], k_vectors=[[10.0, 0.0]])

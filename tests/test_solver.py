@@ -723,52 +723,115 @@ def test_write_csv_repeated_specials_match_per_value_oracle(tmp_path):
     # the rows of a transposed table, as the bounds experiment passes them:
     # strided columns
     table = np.column_stack([tiled, rng.standard_normal(n), drawn])
+    # the repeating columns are looked up, the one of distinct values is not
+    assert [solver._distinct_keys(c) is None for c in table.T] == [False, True, False]
     _assert_matches_per_value_oracle(tmp_path, "a,b,c", table.T)
 
 
 def test_write_csv_one_value_past_the_distinct_limit(tmp_path):
+    # a column is looked up while at most half its values are distinct, also
+    # when that is more values than one block holds
     rng = np.random.default_rng(13)
     values = rng.standard_normal(solver._CSV_BLOCK + 1)
-    at_limit, past_limit = np.tile(values[:-1], 2), np.tile(values, 2)
-    assert solver._distinct_keys(at_limit).size == solver._CSV_BLOCK
-    assert solver._distinct_keys(past_limit) is None
-    _assert_matches_per_value_oracle(
-        tmp_path, "a,b", [at_limit, past_limit[:at_limit.size]])
+    at_half = np.tile(values, 2)
+    past_half = at_half.copy()
+    past_half[-1] = 7.0
+    assert solver._distinct_keys(at_half).size == values.size
+    assert solver._distinct_keys(past_half) is None
+    _assert_matches_per_value_oracle(tmp_path, "a,b", [at_half, past_half])
 
 
-def _dispersion_shaped_columns(nk, im_max, seed):
+def test_write_csv_all_repeating_columns_match_per_value_oracle(tmp_path):
+    # six looked-up columns over several blocks, drawn from a pool of every
+    # kind of field: signed zeros, NaNs of different bits, infinities,
+    # subnormals and the 24-character fields, the widest there are
+    nan_bits = np.array([math.nan, -math.nan]).view(np.int64)
+    nans = np.concatenate([nan_bits, nan_bits | 1, nan_bits | 12345]).view(float)
+    widest = [-2.2250738585072014e-308, -1.7976931348623157e308,
+              -4.9406564584124654e-324, -1.2345678901234567e-100]
+    pool = np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 1.0 / 3.0, -0.1, 1e16],
+                           nans, widest])
+    assert max(len(format(v, ".17g")) for v in pool) == 24
+    n = 3 * solver._CSV_BLOCK + 11
+    rng = np.random.default_rng(16)
+    columns = [pool[rng.integers(0, pool.size, n)] for _ in range(6)]
+    assert all(solver._distinct_keys(c) is not None for c in columns)
+    _assert_matches_per_value_oracle(tmp_path, "a,b,c,d,e,f", columns)
+
+
+def _dispersion_shaped_columns(nk, im_max, seed, views=False):
     """Columns shaped like cli's dispersion table: z tiled over the k, k
-    repeated over the z, then two columns of distinct values."""
+    repeated over the z (as (nk, nz) broadcast views if views, else
+    materialized), then two columns of values drawn from pools a fifth of
+    their length, about the share of distinct min_singular and re_h."""
     z = default_z_grid(im_max=im_max)
     rng = np.random.default_rng(seed)
     k = 10.0 * rng.integers(-5, 6, (nk, 2))
     n = nk * z.size
+    pools = (rng.random(n // 5) + 0.5,
+             rng.standard_normal(n // 5) * 10.0 ** rng.integers(-5, 5, n // 5))
+    drawn = [pool[rng.integers(0, pool.size, n)] for pool in pools]
+    if views:
+        shape = (nk, z.size)
+        return [np.broadcast_to(z.real, shape), np.broadcast_to(z.imag, shape),
+                np.broadcast_to(k[:, :1], shape), np.broadcast_to(k[:, 1:], shape),
+                *(d.reshape(shape) for d in drawn)]
     return [np.tile(z.real, nk), np.tile(z.imag, nk), np.repeat(k[:, 0], z.size),
-            np.repeat(k[:, 1], z.size), rng.random(n) + 0.5,
-            rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)]
+            np.repeat(k[:, 1], z.size), *drawn]
 
 
 def test_write_csv_dispersion_shaped_table_matches_per_value_oracle(tmp_path):
-    columns = _dispersion_shaped_columns(16, 10.0, seed=14)
+    columns = _dispersion_shaped_columns(40, 10.0, seed=14)
     assert columns[0].size > 3 * solver._CSV_BLOCK
-    assert [solver._distinct_keys(c) is None for c in columns] == [False] * 4 + [True] * 2
+    # every column repeats; the last two hold more distinct values than a block
+    assert all(solver._distinct_keys(c) is not None for c in columns)
+    assert solver._distinct_keys(columns[-1]).size > solver._CSV_BLOCK
     _assert_matches_per_value_oracle(
         tmp_path, "z_re,z_im,k1,k2,min_singular,re_h", columns)
+
+
+def test_write_csv_broadcast_views_write_the_materialized_bytes(tmp_path):
+    views = _dispersion_shaped_columns(16, 10.0, seed=17, views=True)
+    copies = _dispersion_shaped_columns(16, 10.0, seed=17)
+    assert any(0 in c.strides for c in views)
+    header = "z_re,z_im,k1,k2,min_singular,re_h"
+    solver._write_csv(tmp_path / "views.csv", header, views)
+    solver._write_csv(tmp_path / "copies.csv", header, copies)
+    assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
+
+
+def _peak_writing(path, columns) -> int:
+    tracemalloc.start()
+    try:
+        solver._write_csv(path, "z_re,z_im,k1,k2,min_singular,re_h", columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_write_csv_dispersion_shaped_memory_is_bounded(tmp_path):
     # the default dispersion table's shape, 40 k x 4,010 z = 160,400 rows
     columns = _dispersion_shaped_columns(40, 50.0, seed=15)
     assert columns[0].size == 160_400
+    # a copy of the table alone would be 7.7 MB
+    assert _peak_writing(tmp_path / "big.csv", columns) < 5e6
+
+
+def test_write_csv_dispersion_table_from_views_memory_is_bounded(tmp_path):
+    # the z and k columns of the default table as views, which are never
+    # copied whole: the writer holds the sort of one 1.3 MB column, the
+    # distinct values' fields (~0.8 MB a column) and one block's bytes
+    columns = _dispersion_shaped_columns(40, 50.0, seed=15, views=True)
+    assert columns[0].size == 160_400
+    assert _peak_writing(tmp_path / "big.csv", columns) < 4.5e6
+    # a broadcast column's distinct values come from its one row of 4,010
     tracemalloc.start()
     try:
-        solver._write_csv(tmp_path / "big.csv", "z_re,z_im,k1,k2,min_singular,re_h",
-                          columns)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert solver._distinct_keys(columns[0]).size == 10
+        assert tracemalloc.get_traced_memory()[1] < 0.1e6
     finally:
         tracemalloc.stop()
-    # a copy of the table alone would be 7.7 MB; the writer peaks near 1.5 MB
-    assert peak < 5e6
 
 
 def test_write_csv_leaves_numpy_ma_unloaded(tmp_path):
