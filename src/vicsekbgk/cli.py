@@ -404,7 +404,7 @@ def _run_dispersion(c: dict, outdir: str):
     z_values = default_z_grid(delta=c["delta"], re_max=c["re_max"],
                               im_max=c["im_max"], step=c["z_step"])
     sweep = dispersion_sweep(c["mu"], c["gamma"], z_values=z_values,
-                             k_max=c["k_max"], delta=c["delta"])
+                             k_max=c["k_max"])
     # one row per (k, z) pair, k-major: z and k as (nk, nz) views
     shape, z, k = sweep.re_h.shape, sweep.z_values, sweep.k_vectors
     path = os.path.join(outdir, "dispersion.csv")
@@ -622,7 +622,7 @@ def main(argv=None) -> int:
     before = _file_times(outdir)
     try:
         outputs, summary = _RUNNERS[experiment](config, outdir)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         # a run that failed before writing any artifact records the failure
         # in its manifest; one that failed after (a fit over the written

@@ -24,8 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import gauss_legendre
-
 __all__ = [
     "order_parameter",
     "order_parameter_derivative",
@@ -37,25 +35,6 @@ __all__ = [
     "HomogeneousTrajectory",
     "homogeneous_flow",
 ]
-
-
-def _quadrature_stats(r: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(<cos>, <cos^2>) under e^{r cos t} sin^{d-2} t dt, vectorized in r.
-
-    The integrand is rescaled by e^{-r} so arbitrarily large concentrations
-    stay in range; node count grows linearly with max r.
-    """
-    rmax = float(np.max(r, initial=0.0))
-    n = max(128, 8 * int(math.ceil(rmax)) + 32)
-    x, w = gauss_legendre(n)
-    t = 0.5 * np.pi * (x + 1.0)
-    ct = np.cos(t)
-    base = w * np.sin(t) ** (d - 2)
-    e = np.exp(np.multiply.outer(r, ct - 1.0)) * base
-    den = e.sum(axis=-1)
-    num1 = e @ ct
-    num2 = e @ ct**2
-    return num1 / den, num2 / den
 
 
 # Cephes Chebyshev coefficients: exp(-x) I_n(x) on [0, 8] in y = x/2 - 2
@@ -171,15 +150,14 @@ def _limit_at_infinity(fn, r: np.ndarray, d: int, limit: float) -> np.ndarray:
 
 
 def order_parameter(r, d: int):
-    """The consistency function c(r) for concentration r >= 0.
+    """The consistency function c(r) for concentration r >= 0, d in (2, 3).
 
     Closed forms: I_1(r)/I_0(r) on the circle, the Langevin function
-    coth(r) - 1/r on the 2-sphere; stabilized quadrature for d >= 4.
-    Vectorized in r; c(0) = 0, c'(0) = 1/d, and c(r) increases to
-    c(inf) = 1.
+    coth(r) - 1/r on the 2-sphere.  Vectorized in r; c(0) = 0,
+    c'(0) = 1/d, and c(r) increases to c(inf) = 1.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    if d not in (2, 3):
+        raise ValueError("c(r) is implemented for d in (2, 3)")
     if d == 2 and isinstance(r, float) and 0.0 < r < math.inf:
         i0, i1 = _i0e_i1e(float(r))  # the root finders' and RK4's calls
         return i1 / i0
@@ -193,15 +171,12 @@ def order_parameter(r, d: int):
     elif d == 2:
         i0, i1 = _i0e_i1e(r)
         out = np.where(r > 0, i1 / i0, 0.0)
-    elif d == 3:
+    else:
         small = r < 1e-3
         rs = np.where(small, 1.0, r)
         out = np.where(small,
                        r / 3.0 - r**3 / 45.0 + 2.0 * r**5 / 945.0,
                        1.0 / np.tanh(rs) - 1.0 / rs)
-    else:
-        out, _ = _quadrature_stats(r, d)
-        out = np.where(r > 0, out, 0.0)  # odd integrand, exact zero
     return float(out[0]) if scalar else out
 
 
@@ -217,14 +192,13 @@ def _c_over_r(r: np.ndarray) -> np.ndarray:
 
 
 def order_parameter_derivative(r, d: int):
-    """dc/dr, used by Newton polishing and stability formulas.
+    """dc/dr for d in (2, 3), used by Newton polishing and stability formulas.
 
     For d=2, c' = 1 - c/r - c^2 (Bessel recurrences); for d=3,
-    c' = 1/r^2 - 1/sinh^2 r; generally c' = <cos^2> - <cos>^2 > 0;
-    c'(inf) = 0.
+    c' = 1/r^2 - 1/sinh^2 r; c' > 0 and c'(inf) = 0.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    if d not in (2, 3):
+        raise ValueError("c(r) is implemented for d in (2, 3)")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("concentration must be nonnegative")
@@ -235,16 +209,13 @@ def order_parameter_derivative(r, d: int):
     elif d == 2:
         i0, i1 = _i0e_i1e(r)
         out = 1.0 - _c_over_r(r) - (i1 / i0)**2
-    elif d == 3:
+    else:
         small = r < 1e-2
         big = r > 300.0
         rs = np.where(small | big, 1.0, r)
         out = np.where(small, 1.0 / 3.0 - r**2 / 15.0 + 2.0 * r**4 / 189.0,
                        np.where(big, 1.0 / np.maximum(r, 1.0) ** 2,
                                 1.0 / rs**2 - 1.0 / np.sinh(rs) ** 2))
-    else:
-        m1, m2 = _quadrature_stats(r, d)
-        out = m2 - m1**2
     return float(out[0]) if scalar else out
 
 

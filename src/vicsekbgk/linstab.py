@@ -258,7 +258,7 @@ def _column_spectrum(J: tuple) -> np.ndarray:
 
 
 def _symmetrized(ghat: np.ndarray, shift: float) -> np.ndarray:
-    """The right factor of ``_kernel_sums``: g_0, g_m e^{im shift} +
+    """The right factor of ``_chunks``' GEMM: g_0, g_m e^{im shift} +
     g_{-m} e^{-im shift}, and g_{n/2} split between e^{+-i(n/2)theta}."""
     ncols, n = ghat.shape
     half = n // 2
@@ -271,7 +271,7 @@ def _symmetrized(ghat: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _power_table(zs: np.ndarray, b: float, half: int) -> np.ndarray:
-    """The left factor of ``_kernel_sums``, transposed: row m is 2 pi S_m,
+    """The left factor of ``_chunks``' GEMM, transposed: row m is 2 pi S_m,
     each power of rho one contiguous row, formed in place."""
     a = 1.0 + zs
     w = np.sqrt(a * a + b * b)
@@ -284,38 +284,28 @@ def _power_table(zs: np.ndarray, b: float, half: int) -> np.ndarray:
     return powers
 
 
-def _kernel_sums(ghat: np.ndarray, zs: np.ndarray, b: float,
-                 shift: float = 0.0) -> np.ndarray:
-    """Int g(theta) / (a + i b cos(theta - shift)) dtheta for each row g.
-
-    ghat holds the discrete Fourier coefficients fft(g) / n of nodal values
-    of g on the uniform n-point circle grid (g possibly complex); zs is the
-    batch of z values (a = 1 + z).  Substituting
-    phi = theta - shift rotates g's Fourier coefficients by e^{im shift},
-    after which the kernel contributes the geometric factors
-    S_m = rho^|m| / w with w = sqrt(a^2 + b^2), rho = -i b / (w + a):
-
-        Int g K = 2 pi [ g_0 S_0 + sum_{m>=1} (g_m e^{im shift}
-                                               + g_{-m} e^{-im shift}) S_m ].
-
-    Returns shape (nz, ncols): a GEMM of the powers, which depend on |k|
-    only, with the symmetrized g.  Exact up to the trigonometric
-    interpolation of g, i.e. machine precision for every b once g is
-    resolved.
-    """
-    return _power_table(zs, b, ghat.shape[1] // 2).T @ _symmetrized(ghat, shift)
-
-
 # complex entries of the power table one z chunk builds (~2 MB)
 _TABLE = 1 << 17
 
 
-def _chunks(zs: np.ndarray, k: np.ndarray, J: np.ndarray):
-    """Yield (i, z slice, ``_kernel_sums`` of the equilibrium columns) for
-    each row k[i]: z chunks of at most _TABLE table entries outermost, and
-    in each one power table per distinct |k|, which the k of that length
-    share."""
-    ghat = _column_spectrum(tuple(map(float, J)))
+def _chunks(zs: np.ndarray, k: np.ndarray, ghat: np.ndarray):
+    """For each row k[i], yield (i, z slice, T) with T[j, c] the integral
+    Int g_c(theta) / (1 + z_j + i k[i].omega) dtheta, z_j in the slice.
+
+    ghat holds the discrete Fourier coefficients fft(g) / n of nodal values
+    of g (possibly complex) on the uniform n-point circle grid.  With a = 1 + z, b = |k| and
+    shift the angle of k, substituting phi = theta - shift rotates g's
+    Fourier coefficients by e^{im shift}, after which the kernel contributes
+    S_m = rho^|m| / w, w = sqrt(a^2 + b^2), rho = -i b / (w + a):
+
+        Int g K = 2 pi [ g_0 S_0 + sum_{m>=1} (g_m e^{im shift}
+                                               + g_{-m} e^{-im shift}) S_m ],
+
+    a GEMM of the powers (``_power_table``, |k| only) with the symmetrized
+    g (``_symmetrized``); exact up to the trigonometric interpolation of g.
+    z comes in chunks of at most _TABLE table entries, outermost, and each
+    chunk builds one power table per distinct |k|, which the k of that
+    length share."""
     half = ghat.shape[1] // 2
     lengths = {}
     for i, kv in enumerate(k):
@@ -329,11 +319,11 @@ def _chunks(zs: np.ndarray, k: np.ndarray, J: np.ndarray):
                 yield i, part, powers @ _symmetrized(ghat, math.atan2(k[i, 1], k[i, 0]))
 
 
-def _integrals(zs: np.ndarray, k: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """The equilibrium columns integrated against the kernel at a batch of z
-    for one k, by the exact kernel expansion; one row per z."""
-    T = np.empty((zs.size, 9), dtype=complex)     # the rows of _fourier_columns_2d
-    for _, part, chunk in _chunks(zs, k[None], J):
+def _integrals(zs: np.ndarray, k: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+    """``_chunks`` at a batch of z for one k: the rows of ghat integrated
+    against the kernel, one row per z."""
+    T = np.empty((zs.size, ghat.shape[0]), dtype=complex)
+    for _, part, chunk in _chunks(zs, k[None], ghat):
         T[part] = chunk
     return T
 
@@ -383,7 +373,7 @@ def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
     k = np.asarray(k, dtype=float)
     if k.shape != (2,):
         raise ValueError(f"wavenumber must have shape (2,), got {k.shape}")
-    return _assemble(_integrals(zs, k, J), mu)
+    return _assemble(_integrals(zs, k, _column_spectrum(tuple(map(float, J)))), mu)
 
 
 @dataclass(frozen=True)
@@ -679,7 +669,8 @@ def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
     re_h = np.empty((k.shape[0], z.size))
     sig = np.empty_like(re_h)
     bad = np.zeros(re_h.shape, dtype=bool)
-    for i, part, T in _chunks(z, k, _check_equilibrium(mu, J, 2)):
+    J = _check_equilibrium(mu, J, 2)
+    for i, part, T in _chunks(z, k, _column_spectrum(tuple(map(float, J)))):
         out = _assemble(T, mu)
         re_h[i, part] = out["h"].real
         sig[i, part] = out["sigma_min"]
@@ -755,8 +746,7 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
     # nodal data enters through its discrete Fourier coefficients, i.e. the
     # exact integral of its trigonometric interpolant
     rhat = np.fft.fft(rcols, axis=1) / grid.n
-    R = _kernel_sums(rhat, np.array([z], dtype=complex),
-                     float(np.linalg.norm(k)), shift=math.atan2(k[1], k[0]))[0]
+    R = _integrals(np.array([z], dtype=complex), k, rhat)[0]
     r_rho, r_J = complex(R[0]), np.array(R[1:3])
 
     Mop = np.eye(2) - mu * A
@@ -790,7 +780,8 @@ def _symbols(zs: np.ndarray, k: np.ndarray, mu: float,
     det = det(Id - mu A) and D = (1 - a) det - mu bbar^T adj(Id - mu A) b
     = h det.  Neither divides, so both stay finite where det = 0.
     """
-    a, bvec, bbar, A = _split(_integrals(zs, k, J))
+    ghat = _column_spectrum(tuple(map(float, J)))
+    a, bvec, bbar, A = _split(_integrals(zs, k, ghat))
     det, adjb = _det_adjugate_2d(np.eye(2)[None] - mu * A, bvec)
     return np.stack([(1.0 - a) * det - mu * np.einsum("ij,ij->i", bbar, adjb),
                      det])

@@ -6,9 +6,9 @@ the polar angle times an equispaced azimuth ring on the 2-sphere.  Both rules
 converge spectrally for smooth integrands, which is what keeps the von Mises
 moment identities at the 1e-10 level used downstream.
 
-Every Gauss-Legendre rule of the package (the 2-sphere grids, the axis
-integrals and the order-parameter quadrature) comes from
-:func:`gauss_legendre`, which builds each node count once.
+Every Gauss-Legendre rule of the package (the 2-sphere grids and the axis
+integrals) comes from :func:`gauss_legendre`, which builds each node count
+once.
 
 The von Mises density with parameter vector J is
 

@@ -349,6 +349,22 @@ def test_solver_abort_writes_failure_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["outputs"] == []
 
 
+def test_memory_error_writes_failure_manifest(tmp_path, monkeypatch, capsys):
+    # a run too large to allocate (bounds at num_samples=10**12, say) fails
+    # like a numerical one; the stand-in runner allocates nothing
+    def boom(config, outdir):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "bounds", boom)
+    rc = cli.main(["bounds", "--quiet", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "Unable to allocate 7.28 TiB" in capsys.readouterr().err
+    manifest = _read_manifest(tmp_path)
+    assert manifest["summary"] == {"error": "Unable to allocate 7.28 TiB",
+                                   "error_type": "MemoryError"}
+    assert manifest["outputs"] == []
+
+
 def test_solver_abort_manifest_records_last_good_row(tmp_path, monkeypatch):
     # step 6 of 10 turns the state non-finite; samples fall every 2 steps
     _nan_after(monkeypatch, 5)

@@ -33,7 +33,7 @@ from conftest import oracle_c, bisect_branch
 # ---------------------------------------------------------------------------
 
 def test_order_parameter_at_zero():
-    for d in (2, 3, 4):
+    for d in (2, 3):
         assert order_parameter(0.0, d) == 0.0
 
 
@@ -66,11 +66,12 @@ def test_order_parameter_range_and_growth():
         assert c[-1] > 0.97
 
 
-def test_order_parameter_quadrature_dimension():
-    # d >= 4 goes through the generic quadrature path
-    c = order_parameter(1.0, 4)
-    assert 0.0 < c < order_parameter(1.0, 3)
-    assert abs(order_parameter(1e-4, 4) - 1e-4 / 4.0) < 1e-9
+def test_order_parameter_rejects_other_dimensions():
+    # the circle and the sphere only, as every grid and the CLI
+    for d in (1, 4):
+        for fn in (order_parameter, order_parameter_derivative):
+            with pytest.raises(ValueError, match=r"d in \(2, 3\)"):
+                fn(1.0, d)
 
 
 def test_ratio_c_over_r_decreasing():
@@ -411,7 +412,7 @@ def test_brentq_error_contract():
 # limits at infinite concentration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
 def test_order_parameter_limits_at_infinity(d):
     # c(inf) = 1 and c'(inf) = 0, scalar and array, with no warning (the
     # suite runs under error::RuntimeWarning); finite entries keep the bits

@@ -1,10 +1,10 @@
-import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
-
-import vicsekbgk
 
 @pytest.mark.parametrize("name", ["sphere", "equilibria", "linstab", "solver"])
 def test_every_name_in_all_resolves(name):
@@ -17,15 +17,15 @@ def test_every_name_in_all_resolves(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_package_reexports_exist_and_are_exported():
-    # every name the package imports from a module is that module's and is
-    # in its __all__, so a deleted name cannot linger in either list
-    tree = ast.parse(pathlib.Path(vicsekbgk.__file__).read_text())
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    for module_name, name in imported:
-        module = importlib.import_module(f"vicsekbgk.{module_name}")
-        assert getattr(vicsekbgk, name) is getattr(module, name)
-        assert name in module.__all__, f"{module_name}.{name}"
+def test_importing_a_module_loads_no_other_layer():
+    # the package re-exports nothing, so importing the equilibria loads
+    # neither the dispersion machinery, the solver nor the command line
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vicsekbgk.equilibria; "
+         "print(sorted(m for m in ('vicsekbgk.linstab', 'vicsekbgk.solver', "
+         "'vicsekbgk.cli') if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -620,8 +620,9 @@ def test_abscissa_candidates_structure():
 
 
 def _kernel_sums_row_major(cols, zs, b, shift=0.0, tail=1e-18):
-    """linstab._kernel_sums as it was with an (nz, mmax+1) power table,
-    taking nodal columns: the bit-level oracle of the z-contiguous table."""
+    """The kernel integration of linstab._chunks as it was with an
+    (nz, mmax+1) power table, taking nodal columns: the bit-level oracle of
+    the z-contiguous table."""
     ncols, n = cols.shape
     a = 1.0 + zs
     ghat = np.fft.fft(cols, axis=1) / n
@@ -653,7 +654,7 @@ def test_kernel_sums_bit_equal_to_row_major_oracle(k):
     ghat = np.fft.fft(cols, axis=1) / cols.shape[1]
     b = math.hypot(*k)
     shift = math.atan2(k[1], k[0])
-    got = linstab._kernel_sums(ghat, zs, b, shift)
+    got = linstab._integrals(zs, np.array(k), ghat)
     assert got.tobytes() == _kernel_sums_row_major(cols, zs, b, shift).tobytes()
 
 
@@ -662,7 +663,7 @@ def test_kernel_sums_at_zero_wavenumber():
     cols = linstab._fourier_columns_2d(np.array([solve_L(2.5, 2), 0.0]))
     ghat = np.fft.fft(cols, axis=1) / cols.shape[1]
     zs = default_z_grid(im_max=5.0, step=0.5)
-    got = linstab._kernel_sums(ghat, zs, 0.0)
+    got = linstab._integrals(zs, np.zeros(2), ghat)
     want = 2.0 * np.pi * np.outer(1.0 / (1.0 + zs), ghat[:, 0])
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
