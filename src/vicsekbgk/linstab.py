@@ -643,19 +643,19 @@ class SweepResult:
 
 
 def dispersion_sweep(mu: float, gamma: float, *, J=None, z_values=None,
-                     k_vectors=None, k_max: float | None = None,
-                     delta: float = DEFAULT_DELTA) -> SweepResult:
+                     k_vectors=None, k_max: float | None = None) -> SweepResult:
     """Evaluate h and sigma_min(Id - mu A) over the product of the z values
     and the wavenumbers (rows of shape (2,)); re_h and sigma_min are k-major.
 
     Defaults reproduce the certification sweep: z on the step-0.25 rectangle
-    [-delta, 2] x [-50i, 50i], k on the half lattice 0 < |k| <= 5 gamma.
+    [-DEFAULT_DELTA, 2] x [-50i, 50i] (``default_z_grid()``), k on the half
+    lattice 0 < |k| <= 5 gamma.
     Each z chunk builds one power table per |k| (``_chunks``).  Raises
     FloatingPointError naming the first (z, k), k-major, where h or
     sigma_min is not finite (an exact zero of det(Id - mu A), say).
     """
     if z_values is None:
-        z_values = default_z_grid(delta=delta)
+        z_values = default_z_grid()
     if k_vectors is None:
         k_vectors = _nonempty_lattice(
             gamma, 5.0 * gamma if k_max is None else k_max)
@@ -706,17 +706,15 @@ class FLSolution:
     residual: float
 
 
-def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
-             grid: SphereGrid | None = None) -> FLSolution:
+def fl_solve(z: complex, k, mu: float, J, f0_hat) -> FLSolution:
     """Solve the transformed moment system for data f0_hat on the circle.
 
     Args:
         z: Laplace variable, Re z > -1, away from dispersion roots.
         k: wavenumber vector of shape (2,); only d = 2 is implemented.
-        mu, J: background equilibrium.
-        f0_hat: complex nodal values of the transformed initial datum.
-        grid: uniform circle grid carrying f0_hat; defaults to the one
-            matching len(f0_hat).
+        mu, J: background equilibrium; J None is the uniform state J = 0.
+        f0_hat: complex nodal values of the transformed initial datum on
+            the uniform circle grid of len(f0_hat) nodes.
 
     Raises SingularSymbolError when h(z, k) = 0 (z is a dispersion root) and
     SingularOperatorError when Id - mu A is singular.
@@ -729,12 +727,9 @@ def fl_solve(z: complex, k, mu: float, J=None, f0_hat=None,
     """
     k = np.asarray(k, dtype=float)
     f0_hat = np.asarray(f0_hat, dtype=complex)
-    if grid is None:
-        grid = build_sphere_grid(2, f0_hat.size)
-    if grid.angles is None:
-        raise ValueError("d = 2 requires a uniform circle grid")
-    if f0_hat.shape != (grid.n,):
-        raise ValueError("f0_hat must be nodal data on the grid")
+    if f0_hat.ndim != 1:
+        raise ValueError("f0_hat must be nodal data on a circle grid")
+    grid = build_sphere_grid(2, f0_hat.size)
     J = _check_equilibrium(mu, J, 2)
     co = dispersion_coefficients(z, k, mu, J)
     a, bvec, bbar, A, h = co.a, co.b, co.b_bar, co.A, co.h

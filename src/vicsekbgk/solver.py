@@ -67,12 +67,12 @@ import numpy as np
 
 from .equilibria import _c_over_r, project_to_manifold, solve_L
 from .linstab import flux_relaxation_matrix
-from .sphere import SphereGrid, build_sphere_grid, von_mises, von_mises_gradient
+from .sphere import (SphereGrid, build_sphere_grid, moments, von_mises,
+                     von_mises_gradient)
 
 __all__ = [
     "InitSpec",
     "SolverConfig",
-    "PhaseField",
     "SolverAbort",
     "DiagnosticsSeries",
     "RunResult",
@@ -82,7 +82,6 @@ __all__ = [
     "step",
     "run",
     "regularized_flux",
-    "field_moments",
     "diagnostics",
     "dist_to_manifold",
     "entropy_functional",
@@ -143,26 +142,6 @@ class SolverConfig:
     seed: int = 0
     keep_snapshots: bool = False
     dealias: bool = True
-
-
-@dataclass
-class PhaseField:
-    """Nodal phase-space density on the (x1, x2, theta) tensor grid."""
-
-    values: np.ndarray
-    gamma: float
-    grid: SphereGrid
-
-    @property
-    def nx(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ntheta(self) -> int:
-        return self.values.shape[2]
-
-    def copy(self) -> "PhaseField":
-        return PhaseField(self.values.copy(), self.gamma, self.grid)
 
 
 class SolverAbort(RuntimeError):
@@ -235,18 +214,6 @@ def _equilibrium_flux(mu: float, angle: float) -> np.ndarray:
     return project_to_manifold(mu, np.array([math.cos(angle), math.sin(angle)]))
 
 
-def _moment_weights(grid: SphereGrid) -> np.ndarray:
-    """Quadrature weights of (rho, J_x, J_y) as the rows of a (3, n) array."""
-    return grid.weights * np.vstack([np.ones(grid.n), grid.nodes.T])
-
-
-def _moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Angular moments (rho, J_x, J_y) over the last (theta) axis of nodal
-    values, stacked on a new first axis (the steps use the workspace's W2)."""
-    flat = values.reshape(-1, values.shape[-1])
-    return (weights @ flat.T).reshape((3,) + values.shape[:-1])
-
-
 def _half_phase(nx: int, gamma: float, dt: float, grid: SphereGrid) -> np.ndarray:
     """Transport multiplier exp(-i gamma dt m . omega) on the rfft2
     half-spectrum, symmetrized as (P(m) + conj P(-m mod nx)) / 2 so that it
@@ -282,7 +249,8 @@ class _Workspace:
     """Precomputed grid and operator data shared by all steps of one
     (grid, operator, dt) combination.  Both collisions span h = dt/2 and
     read the moments (rho, J) off the spectrum's float rows as rows @ W2,
-    with the (2 ntheta, 6) W2 the moment weights interleaved over (Re, Im).
+    with the (2 ntheta, 6) W2 the grid's moment weights interleaved over
+    (Re, Im).
     The linearized one is S -> e^{-h} S + (rho, J) . V, with the (3, ntheta)
     V = (1 - e^{-h}) T^T [M_eq; mu grad_J M_eq] and T = Id + (h/2)
     [[0, 0], [J_eq/mu, C]] the Euler predictor of (rho, J); it is stored
@@ -299,7 +267,7 @@ class _Workspace:
                  jeq_angle: float, dealias: bool):
         self.grid = build_sphere_grid(2, ntheta)
         self.wtheta = 2.0 * math.pi / ntheta
-        self.W2 = _interleave(_moment_weights(self.grid).T)
+        self.W2 = _interleave(self.grid.moment_weights.T)
         self.shape = (nx, nx)
         self.phase = _half_phase(nx, gamma, dt, self.grid)
         if mode != "linearized":  # DFT tables from the phases m x mod nx
@@ -334,11 +302,11 @@ class _Workspace:
 _workspace = lru_cache(maxsize=8)(_Workspace)
 
 
-def _workspace_of(config: SolverConfig, dt: float) -> _Workspace:
-    """The cached workspace of config's grid and operator at step size dt;
-    run controls (t_end, init, seed, sampling) do not enter the key."""
-    return _workspace(config.nx, config.ntheta, config.gamma, dt, config.mu,
-                      config.mode, config.eps_reg, config.jeq_angle,
+def _workspace_of(config: SolverConfig) -> _Workspace:
+    """The cached workspace of config's grid, operator and step size; run
+    controls (t_end, init, seed, sampling) do not enter the key."""
+    return _workspace(config.nx, config.ntheta, config.gamma, config.dt,
+                      config.mu, config.mode, config.eps_reg, config.jeq_angle,
                       config.dealias)
 
 
@@ -397,11 +365,11 @@ def _collide_linear(S: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     return R.view(complex).reshape(S.shape)
 
 
-def step(S: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
-    """One Strang step, collision(dt/2), transport(dt), collision(dt/2), of
-    the half-spectrum state S = rfft2(F.values, axes=(0, 1)); returns the new
-    half-spectrum and leaves S untouched."""
-    ws = _workspace_of(config, dt)
+def step(S: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """One Strang step, collision(dt/2), transport(dt), collision(dt/2), with
+    dt = config.dt, of the half-spectrum state S = rfft2(F, axes=(0, 1));
+    returns the new half-spectrum and leaves S untouched."""
+    ws = _workspace_of(config)
     collide = _collide_linear if config.mode == "linearized" else _collide
     S = collide(S, ws)
     S *= ws.phase
@@ -429,11 +397,12 @@ def _random_smooth(nx: int, theta: np.ndarray, seed: int) -> np.ndarray:
     return g / np.max(np.abs(g))
 
 
-def init_field(config: SolverConfig) -> PhaseField:
-    """Build the initial field of a run; every recipe is rescaled so the
-    mean density is exactly mu (mean zero, for linearized perturbations)."""
+def init_field(config: SolverConfig) -> np.ndarray:
+    """The (nx, nx, ntheta) nodal values of a run's initial field; every
+    recipe is rescaled so the mean density is exactly mu (mean zero, for
+    linearized perturbations)."""
     validate(config)
-    ws = _workspace_of(config, config.dt)
+    ws = _workspace_of(config)
     nx, ntheta = config.nx, config.ntheta
     spec = config.init
     x = 2.0 * math.pi * np.arange(nx) / nx
@@ -466,7 +435,7 @@ def init_field(config: SolverConfig) -> PhaseField:
         if mean <= 0.0:
             raise ValueError("initial field has no mass")
         values = values * (config.mu / mean)
-    return PhaseField(np.ascontiguousarray(values), config.gamma, ws.grid)
+    return np.ascontiguousarray(values)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +470,6 @@ class DiagnosticsSeries:
         return self.t.size
 
 
-def field_moments(F: PhaseField) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise density rho(x) and flux J(x): angular moments of F."""
-    rho, Jx, Jy = _moments(F.values, _moment_weights(F.grid))
-    return rho, np.stack([Jx, Jy], axis=-1)
-
-
 def _spectral_sums(S: np.ndarray) -> tuple[np.ndarray, float]:
     """(Fbar, osc) of the real field F whose rfft2 half-spectrum is S: Fbar =
     Re S[0, 0] / nx^2 and, by Parseval, osc = sum of (F - Fbar)^2 = sum over
@@ -520,17 +483,20 @@ def _spectral_sums(S: np.ndarray) -> tuple[np.ndarray, float]:
     return S[0, 0].real / nx**2, float(p.sum()) / nx**2
 
 
-def entropy_functional(F: PhaseField) -> float:
-    """Int (1/e + F log F) dx domega, with F log F extended by 0 at F <= 0."""
-    v = F.values
-    dvol = (2.0 * math.pi / F.nx) ** 2 * (2.0 * math.pi / F.ntheta)
-    logv = np.zeros_like(v)
-    np.log(v, out=logv, where=v > 0.0)
-    return float(v.ravel() @ logv.ravel()) * dvol + (2.0 * math.pi) ** 3 / math.e
+def entropy_functional(values: np.ndarray) -> float:
+    """Int (1/e + F log F) dx domega of the (nx, nx, ntheta) nodal values of
+    F, with F log F extended by 0 at F <= 0."""
+    nx, _, ntheta = values.shape
+    dvol = (2.0 * math.pi / nx) ** 2 * (2.0 * math.pi / ntheta)
+    logv = np.zeros_like(values)
+    np.log(values, out=logv, where=values > 0.0)
+    return float(values.ravel() @ logv.ravel()) * dvol + (2.0 * math.pi) ** 3 / math.e
 
 
-def dist_to_manifold(F: PhaseField, mu: float, *, sums=None) -> float:
-    """L^2(dx dtheta) distance from F to the equilibrium family {mu M_J}.
+def dist_to_manifold(values: np.ndarray, grid: SphereGrid, mu: float, *,
+                     sums=None) -> float:
+    """L^2(dx dtheta) distance from the field F with nodal values `values`
+    on the circle grid `grid` to the equilibrium family {mu M_J}.
 
     For mu <= 2 the family is the single uniform state.  Above threshold the
     squared distance to mu M_phi (direction phi, |J| = L(mu)) splits as
@@ -546,9 +512,9 @@ def dist_to_manifold(F: PhaseField, mu: float, *, sums=None) -> float:
     minimizing the theta-only term is found by a coarse circular scan, seeded
     by the mean flux direction, refined by golden-section search to 1e-12.
     """
-    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(F.values, axes=(0, 1)))
-    grid, wq = F.grid, 2.0 * math.pi / F.ntheta
-    spread2 = osc * (2.0 * math.pi / F.nx) ** 2 * wq
+    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(values, axes=(0, 1)))
+    wq = 2.0 * math.pi / grid.n
+    spread2 = osc * (2.0 * math.pi / values.shape[0]) ** 2 * wq
     area2 = (2.0 * math.pi) ** 2
     if mu <= 2.0:
         return math.sqrt(spread2 + area2 * float(
@@ -560,7 +526,7 @@ def dist_to_manifold(F: PhaseField, mu: float, *, sums=None) -> float:
         m = von_mises(L * np.array([np.cos(phi), np.sin(phi)]).T, grid)
         return np.sum((Fbar - mu * m) ** 2, axis=-1) * wq
 
-    jbar = _moments(Fbar, _moment_weights(grid))[1:]
+    jbar = moments(Fbar, grid)[1]
     seed = math.atan2(jbar[1], jbar[0]) if np.linalg.norm(jbar) > 0 else 0.0
     scan = seed + np.linspace(-math.pi, math.pi, 33)[:-1]
     best = int(np.argmin(gap(scan)))
@@ -582,27 +548,28 @@ def dist_to_manifold(F: PhaseField, mu: float, *, sums=None) -> float:
     return math.sqrt(spread2 + area2 * min(fc, fd))
 
 
-def diagnostics(F: PhaseField, mu: float, *, sums=None, background=None) -> dict:
-    """Diagnostics of a physical field: mean mass/flux, L^2 norm, entropy,
-    distance to the equilibrium family, density extremes.
+def diagnostics(values: np.ndarray, grid: SphereGrid, mu: float, *,
+                sums=None, background=None) -> dict:
+    """Diagnostics of a physical field F, given by its (nx, nx, ntheta)
+    nodal values on the circle grid `grid`: mean mass/flux, L^2 norm,
+    entropy, distance to the equilibrium family, density extremes.
 
     All but entropy and the density extremes come from the sums (Fbar, osc)
     of F's half-spectrum (_spectral_sums; `run` passes those of its state):
     mass and flux are the moments of Fbar, l2^2 = (nx^2 |Fbar|^2 + osc) dx^2
     wq by Parseval.  With `background`, an (ntheta,) uniform field, F is a
     perturbation: mass, flux and l2 are F's, the rest background + F's."""
-    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(F.values, axes=(0, 1)))
-    grid, nx = F.grid, F.nx
-    mass, jx, jy = _moment_weights(grid) @ Fbar
-    dvol = (2.0 * math.pi / nx) ** 2 * 2.0 * math.pi / F.ntheta
+    Fbar, osc = sums or _spectral_sums(np.fft.rfft2(values, axes=(0, 1)))
+    nx = values.shape[0]
+    mass, (jx, jy) = moments(Fbar, grid)
+    dvol = (2.0 * math.pi / nx) ** 2 * 2.0 * math.pi / grid.n
     l2 = math.sqrt((nx * nx * float(Fbar @ Fbar) + osc) * dvol)
     if background is not None:
-        F = PhaseField(background + F.values, F.gamma, grid)
-        Fbar = background + Fbar
-    rho = F.values.reshape(-1, F.ntheta) @ grid.weights
+        values, Fbar = background + values, background + Fbar
+    rho = values.reshape(-1, grid.n) @ grid.weights
     return {"mass": float(mass), "jbar_x": float(jx), "jbar_y": float(jy),
-            "l2": l2, "entropy": entropy_functional(F),
-            "dist": dist_to_manifold(F, mu, sums=(Fbar, osc)),
+            "l2": l2, "entropy": entropy_functional(values),
+            "dist": dist_to_manifold(values, grid, mu, sums=(Fbar, osc)),
             "rho_min": float(rho.min()), "rho_max": float(rho.max())}
 
 
@@ -611,8 +578,8 @@ def _diagnostics_row(values: np.ndarray, S: np.ndarray, t: float,
     """The row at time t of nodal values and their half-spectrum S (the
     perturbation's, in linearized mode)."""
     background = config.mu * ws.Meq if config.mode == "linearized" else None
-    return {**diagnostics(PhaseField(values, config.gamma, ws.grid), config.mu,
-                          sums=_spectral_sums(S), background=background),
+    return {**diagnostics(values, ws.grid, config.mu, sums=_spectral_sums(S),
+                          background=background),
             "t": float(t)}
 
 
@@ -645,8 +612,8 @@ def run(config: SolverConfig) -> RunResult:
     """
     validate(config)
     nsteps = _num_steps(config)
-    ws = _workspace_of(config, config.dt)
-    values = init_field(config).values
+    ws = _workspace_of(config)
+    values = init_field(config)
     S = np.fft.rfft2(values, axes=(0, 1))
     rows = [_diagnostics_row(values, S, 0.0, config, ws)]
     snaps = [(0.0, values)]
@@ -661,7 +628,7 @@ def run(config: SolverConfig) -> RunResult:
     for i in range(1, nsteps + 1):
         t = i * config.dt
         if not linear:
-            S = step(S, config.dt, config)
+            S = step(S, config)
             if not np.isfinite(S.view(float)).all():  # both parts, as floats
                 raise SolverAbort(t, rows[-1])
         else:  # U <- P C S after a sample, U <- P C C U otherwise

@@ -6,10 +6,6 @@ the polar angle times an equispaced azimuth ring on the 2-sphere.  Both rules
 converge spectrally for smooth integrands, which is what keeps the von Mises
 moment identities at the 1e-10 level used downstream.
 
-Every Gauss-Legendre rule of the package (the 2-sphere grids and the axis
-integrals) comes from :func:`gauss_legendre`, which builds each node count
-once.
-
 The von Mises density with parameter vector J is
 
     M_J(omega) = exp(omega . J) / Z(J),      Z(J) = Int_S exp(omega . J) domega,
@@ -20,17 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "SPHERE_AREA",
     "SphereGrid",
-    "MomentPair",
     "build_sphere_grid",
     "auto_node_count",
-    "gauss_legendre",
     "partition_function",
     "von_mises",
     "von_mises_gradient",
@@ -68,23 +61,16 @@ class SphereGrid:
         """Quadrature of a nodal function (last axis must match the grid)."""
         return values @ self.weights
 
+    @property
+    def moment_weights(self) -> np.ndarray:
+        """The (d + 1, n) quadrature weights of the moments (rho, J): the
+        rows of (1, omega) times the weights."""
+        return self.weights * np.vstack([np.ones(self.n), self.nodes.T])
+
 
 def auto_node_count(jmag: float) -> int:
     """Node count that resolves exp(omega . J) at concentration |J|."""
     return max(64, 8 * int(math.ceil(abs(jmag))))
-
-
-@lru_cache(maxsize=64)
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule (nodes, weights) on [-1, 1].
-
-    ``leggauss(512)`` costs ~35 ms, so each rule is built once per node count
-    and shared; the arrays are read-only because every caller sees them.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def build_sphere_grid(d: int, n: int) -> SphereGrid:
@@ -109,7 +95,7 @@ def build_sphere_grid(d: int, n: int) -> SphereGrid:
         weights = np.full(n, 2.0 * np.pi / n)
         return SphereGrid(d=2, nodes=nodes, weights=weights, angles=theta)
     # d == 3: Gauss-Legendre in u = cos(polar), trapezoid in azimuth
-    u, wu = gauss_legendre(n)
+    u, wu = np.polynomial.legendre.leggauss(n)
     nphi = 2 * n
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     su = np.sqrt(1.0 - u**2)
@@ -188,21 +174,16 @@ def von_mises_gradient(J, grid: SphereGrid) -> np.ndarray:
     return (grid.nodes - mean_dir).T * m
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Zeroth and first angular moments (rho, J) of an angular density."""
-
-    rho: float
-    J: np.ndarray
-
-
-def moments(f: np.ndarray, grid: SphereGrid) -> MomentPair:
-    """rho_f = Int f domega and J_f = Int omega f domega for nodal values f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n,):
-        raise ValueError(f"nodal data must have shape ({grid.n},), got {f.shape}")
-    wf = grid.weights * f
-    return MomentPair(rho=float(wf.sum()), J=wf @ grid.nodes)
+def moments(values, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """rho = Int f domega and J = Int omega f domega of nodal values f over
+    their last axis, which must match the grid; any leading axes (a field of
+    cells, say) are kept, and J gains a trailing axis of length d."""
+    values = np.asarray(values)
+    if values.shape[-1:] != (grid.n,):
+        raise ValueError(
+            f"nodal data must have shape (..., {grid.n}), got {values.shape}")
+    m = values @ grid.moment_weights.T
+    return m[..., 0], m[..., 1:]
 
 
 def axis_integral(k: int, m: int) -> float:
@@ -214,7 +195,7 @@ def axis_integral(k: int, m: int) -> float:
     """
     if k < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    x, w = gauss_legendre(64 + 8 * (k + m))
+    x, w = np.polynomial.legendre.leggauss(64 + 8 * (k + m))
     t = 0.5 * np.pi * (x + 1.0)
     return float(0.5 * np.pi * np.sum(w * np.cos(t) ** k * np.sin(t) ** m))
 

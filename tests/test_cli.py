@@ -45,6 +45,30 @@ def test_nested_override():
         cli.resolve_config("simulate", None, ["init.shape=disc"])
 
 
+def test_config_file_nested_block(tmp_path):
+    # a block of the file sets its keys one by one; the others keep defaults
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"experiment": "simulate", "t_end": 0.02,
+         "init": {"recipe": "mode-bump", "mode_k": [2, 1]}}))
+    config = cli.resolve_config("simulate", str(cfg_file), ["init.amplitude=0.05"])
+    assert config["init"] == {"recipe": "mode-bump", "amplitude": 0.05,
+                              "mode_k": [2, 1], "width": 0.7}
+    assert config["t_end"] == 0.02
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"init": {"shape": "disc"}}))
+    with pytest.raises(cli.ConfigError, match="unknown config key: init.shape"):
+        cli.resolve_config("simulate", str(bad), [])
+
+
+def test_dotted_key_through_a_number_exits_2(tmp_path, capsys):
+    rc = cli.main(["simulate", "--set", "mu.x=1", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "unknown config key: mu.x" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_unknown_key_rejected():
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.resolve_config("bifurcation", None, ["num_points=5"])
@@ -226,7 +250,7 @@ def test_dispersion_csv_matches_per_value_oracle(tmp_path):
     z = linstab.default_z_grid(delta=c["delta"], re_max=c["re_max"],
                                im_max=c["im_max"], step=c["z_step"])
     sweep = linstab.dispersion_sweep(c["mu"], c["gamma"], z_values=z,
-                                     k_max=c["k_max"], delta=c["delta"])
+                                     k_max=c["k_max"])
     rows = [(zi.real, zi.imag, k[0], k[1], s, h)
             for k, s_row, h_row in zip(sweep.k_vectors, sweep.sigma_min, sweep.re_h)
             for zi, s, h in zip(sweep.z_values, s_row, h_row)]
@@ -421,6 +445,18 @@ def test_numerical_failure_writes_failure_manifest(tmp_path, capsys):
     assert manifest["summary"] == {
         "error": "initial field is negative; reduce the amplitude",
         "error_type": "ValueError"}
+    assert manifest["outputs"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_unreachable_branch_tolerance_writes_failure_manifest(tmp_path, capsys):
+    # solve_L's Newton polish cannot bring the residual down to 1e-300
+    rc = cli.main(["bifurcation", "--set", "tol=1e-300", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "Newton polish did not reach residual" in capsys.readouterr().err
+    manifest = _read_manifest(tmp_path)
+    assert manifest["summary"]["error_type"] == "RuntimeError"
     assert manifest["outputs"] == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 

@@ -17,13 +17,11 @@ from vicsekbgk.solver import (
     DiagnosticsSeries,
     EntropyFit,
     InitSpec,
-    PhaseField,
     SolverAbort,
     SolverConfig,
     diagnostics,
     dist_to_manifold,
     entropy_functional,
-    field_moments,
     fit_decay_rate,
     fit_entropy_growth,
     init_field,
@@ -35,7 +33,7 @@ from vicsekbgk.solver import (
     write_diagnostics_csv,
     write_snapshot,
 )
-from vicsekbgk.sphere import build_sphere_grid, von_mises
+from vicsekbgk.sphere import build_sphere_grid, moments, von_mises
 
 
 def _series(t, **cols):
@@ -102,11 +100,11 @@ def test_init_zero_amplitude_is_equilibrium():
         cfg = SolverConfig(mu=mu, jeq_angle=angle, nx=8, ntheta=32,
                            init=InitSpec(amplitude=0.0))
         F = init_field(cfg)
-        d = diagnostics(F, mu)
+        d = diagnostics(F, build_sphere_grid(2, 32), mu)
         assert abs(d["mass"] - mu) < 1e-13
         assert d["dist"] < 1e-5
         # the field is x-independent and matches mu M on every cell
-        assert np.max(np.abs(F.values - F.values[0, 0])) == 0.0
+        assert np.max(np.abs(F - F[0, 0])) == 0.0
 
 
 def test_init_mass_exact():
@@ -116,8 +114,7 @@ def test_init_mass_exact():
         cfg = SolverConfig(mu=2.2, mode=mode, nx=16, ntheta=32,
                            eps_reg=0.1 if mode == "regularized" else None,
                            init=InitSpec(recipe=recipe, amplitude=0.4))
-        F = init_field(cfg)
-        rho, _ = field_moments(F)
+        rho, _ = moments(init_field(cfg), build_sphere_grid(2, 32))
         assert abs(rho.mean() - 2.2) < 1e-13
         assert rho.min() >= 0.0
 
@@ -125,8 +122,7 @@ def test_init_mass_exact():
 def test_init_linearized_zero_mean():
     cfg = SolverConfig(mu=2.5, mode="linearized", nx=16, ntheta=32,
                        init=InitSpec(recipe="random-smooth", amplitude=1.0))
-    F = init_field(cfg)
-    rho, _ = field_moments(F)
+    rho, _ = moments(init_field(cfg), build_sphere_grid(2, 32))
     assert abs(rho.mean()) < 1e-14
 
 
@@ -185,10 +181,9 @@ def test_equilibrium_is_fixed_point():
     for mu, angle in [(1.5, 0.0), (2.7, 1.1)]:
         cfg = SolverConfig(mu=mu, jeq_angle=angle, nx=8, ntheta=32, dt=0.05)
         F0 = init_field(cfg)
-        S1 = step(np.fft.rfft2(F0.values, axes=(0, 1)), cfg.dt, cfg)
-        F1 = PhaseField(np.fft.irfft2(S1, s=(cfg.nx, cfg.nx), axes=(0, 1)),
-                        F0.gamma, F0.grid)
-        assert np.max(np.abs(F1.values - F0.values)) < 1e-13
+        S1 = step(np.fft.rfft2(F0, axes=(0, 1)), cfg)
+        F1 = np.fft.irfft2(S1, s=(cfg.nx, cfg.nx), axes=(0, 1))
+        assert np.max(np.abs(F1 - F0)) < 1e-13
 
 
 def test_mass_conserved_stepwise():
@@ -214,13 +209,10 @@ def test_homogeneous_flux_matches_moment_ode():
     errs = []
     for dt in (0.02, 0.01):
         cfg = SolverConfig(mu=mu, nx=4, ntheta=64, dt=dt)
-        F = PhaseField(np.ascontiguousarray(
-            np.broadcast_to(mu * vm, (4, 4, 64))), cfg.gamma, grid)
-        S = np.fft.rfft2(F.values, axes=(0, 1))
+        S = np.fft.rfft2(np.broadcast_to(mu * vm, (4, 4, 64)), axes=(0, 1))
         for _ in range(int(round(1.0 / dt))):
-            S = step(S, dt, cfg)
-        F = PhaseField(np.fft.irfft2(S, s=(4, 4), axes=(0, 1)), cfg.gamma, grid)
-        _, J = field_moments(F)
+            S = step(S, cfg)
+        _, J = moments(np.fft.irfft2(S, s=(4, 4), axes=(0, 1)), grid)
         errs.append(abs(float(np.linalg.norm(J.mean(axis=(0, 1)))) - ref.L[-1]))
     assert errs[1] < errs[0]
     assert 3.4 < errs[0] / errs[1] < 4.6
@@ -282,34 +274,29 @@ def test_linearized_mean_flux_follows_matrix_ode():
 # ---------------------------------------------------------------------------
 
 def test_entropy_constant_field():
-    grid = build_sphere_grid(2, 16)
     for c in (0.3, 1.0):
-        F = PhaseField(np.full((8, 8, 16), c), 10.0, grid)
         expected = (2.0 * math.pi) ** 3 * (c * math.log(c) + 1.0 / math.e)
-        assert abs(entropy_functional(F) - expected) < 1e-10
+        assert abs(entropy_functional(np.full((8, 8, 16), c)) - expected) < 1e-10
 
 
 def test_entropy_ignores_zero_cells():
-    grid = build_sphere_grid(2, 16)
     v = np.zeros((8, 8, 16))
-    F = PhaseField(v, 10.0, grid)
-    assert abs(entropy_functional(F) - (2.0 * math.pi) ** 3 / math.e) < 1e-12
+    assert abs(entropy_functional(v) - (2.0 * math.pi) ** 3 / math.e) < 1e-12
 
 
 def test_dist_to_manifold_zero_cases():
     # subcritical: the family is the uniform state
     grid = build_sphere_grid(2, 32)
-    uni = PhaseField(np.full((8, 8, 32), 1.5 / (2.0 * math.pi)), 10.0, grid)
-    assert dist_to_manifold(uni, 1.5) == 0.0
+    uni = np.full((8, 8, 32), 1.5 / (2.0 * math.pi))
+    assert dist_to_manifold(uni, grid, 1.5) == 0.0
     # supercritical: exact von Mises state at an off-axis angle
     mu, phi = 2.5, 0.9
     L = solve_L(mu, 2)
     wq = 2.0 * math.pi / 32
     m = np.exp(L * np.cos(grid.angles - phi))
     m /= m.sum() * wq
-    F = PhaseField(np.ascontiguousarray(
-        np.broadcast_to(mu * m, (8, 8, 32))), 10.0, grid)
-    assert dist_to_manifold(F, mu) < 1e-5
+    F = np.ascontiguousarray(np.broadcast_to(mu * m, (8, 8, 32)))
+    assert dist_to_manifold(F, grid, mu) < 1e-5
 
 
 def test_dist_to_manifold_small_distance_keeps_digits():
@@ -323,17 +310,16 @@ def test_dist_to_manifold_small_distance_keeps_digits():
     x = 2.0 * math.pi * np.arange(nx) / nx
     g = np.cos(x[:, None] + 2.0 * x[None, :])
     gh = g[..., None] * (np.cos(2.0 * grid.angles) + 0.5 * np.sin(grid.angles))
-    F = PhaseField(mu * M + eta * gh, 10.0, grid)
+    F = mu * M + eta * gh
     dvol = (2.0 * math.pi / nx) ** 2 * (2.0 * math.pi / ntheta)
     want = eta * math.sqrt(float(np.sum(gh**2)) * dvol)
-    assert abs(dist_to_manifold(F, mu) / want - 1.0) <= 1e-8
+    assert abs(dist_to_manifold(F, grid, mu) / want - 1.0) <= 1e-8
 
 
 def test_dist_to_manifold_detects_perturbation():
     mu = 2.5
     cfg = SolverConfig(mu=mu, nx=8, ntheta=32, init=InitSpec(amplitude=0.2))
-    F = init_field(cfg)
-    assert dist_to_manifold(F, mu) > 0.01
+    assert dist_to_manifold(init_field(cfg), build_sphere_grid(2, 32), mu) > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +370,14 @@ def _step_loop(cfg):
     one-step oracle; raises SolverAbort like run, with the row of the last
     sample."""
     F = solver.init_field(cfg)
-    S = np.fft.rfft2(F.values, axes=(0, 1))
+    S = np.fft.rfft2(F, axes=(0, 1))
     n = solver._num_steps(cfg)
-    snaps = [(0.0, F.values)]
-    last = (F.values, S, 0.0)
+    snaps = [(0.0, F)]
+    last = (F, S, 0.0)
     for i in range(1, n + 1):
-        S = step(S, cfg.dt, cfg)
+        S = step(S, cfg)
         if not np.isfinite(S.view(float)).all():
-            ws = solver._workspace_of(cfg, cfg.dt)
+            ws = solver._workspace_of(cfg)
             raise SolverAbort(i * cfg.dt, solver._diagnostics_row(*last, cfg, ws))
         if i % cfg.snapshot_every == 0 or i == n:
             snaps.append((i * cfg.dt, np.fft.irfft2(S, s=(cfg.nx, cfg.nx),
@@ -437,8 +423,8 @@ def test_nonlinear_run_is_step_loop(mode, eps_reg):
 
 def test_pair_map_is_two_linearized_collisions():
     cfg = _linear_config(dt=0.5, t_end=0.5)
-    ws = solver._workspace_of(cfg, cfg.dt)
-    S = np.fft.rfft2(init_field(cfg).values, axes=(0, 1))
+    ws = solver._workspace_of(cfg)
+    S = np.fft.rfft2(init_field(cfg), axes=(0, 1))
     two = solver._float_rows(
         solver._collide_linear(solver._collide_linear(S, ws), ws))
     R = solver._float_rows(S)
@@ -466,7 +452,7 @@ def test_linearized_run_counts_rank3_maps(monkeypatch):
 def test_linearized_abort_time_matches_step_loop(monkeypatch):
     cfg = _linear_config(snapshot_every=10)
     F = init_field(cfg)
-    F.values[1, 2, 3] = np.nan
+    F[1, 2, 3] = np.nan
     monkeypatch.setattr(solver, "init_field", lambda config: F.copy())
     with pytest.raises(SolverAbort) as got:
         run(cfg)
@@ -483,7 +469,7 @@ def test_linearized_overflow_abort_matches_step_loop(monkeypatch, every):
     # step, so that cell reaches ~1e150 after step 2 and overflows in step 3
     cfg = _linear_config(snapshot_every=every, init=InitSpec(
         recipe="random-smooth", amplitude=1e-250))
-    ws = solver._workspace_of(cfg, cfg.dt)
+    ws = solver._workspace_of(cfg)
     phase = ws.phase.copy()
     phase[2, 1] *= 1e200
     monkeypatch.setattr(ws, "phase", phase)
@@ -505,9 +491,9 @@ def _nan_after(monkeypatch, k):
     """Make solver.step return a NaN spectrum from its (k + 1)-th call on."""
     good, calls = solver.step, []
 
-    def failing(S, dt, config):
+    def failing(S, config):
         calls.append(1)
-        out = good(S, dt, config)
+        out = good(S, config)
         if len(calls) > k:
             out[...] = np.nan
         return out
@@ -642,14 +628,6 @@ def test_snapshot_payload_mismatch(tmp_path):
         fh.write(b"\x00" * 8)
     with pytest.raises(ValueError, match="payload"):
         read_snapshot(base)
-
-
-def test_phase_field_copy_is_independent():
-    grid = build_sphere_grid(2, 16)
-    F = PhaseField(np.ones((4, 4, 16)), 10.0, grid)
-    G = F.copy()
-    G.values[0, 0, 0] = 7.0
-    assert F.values[0, 0, 0] == 1.0
 
 
 def _write_csv_per_value(path, header, rows):

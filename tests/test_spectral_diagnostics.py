@@ -15,7 +15,6 @@ import vicsekbgk.solver as solver
 from vicsekbgk.equilibria import solve_L
 from vicsekbgk.solver import (
     InitSpec,
-    PhaseField,
     SolverConfig,
     diagnostics,
     dist_to_manifold,
@@ -124,8 +123,8 @@ def nyquist_init(monkeypatch):
     def with_nyquist(config):
         F = init(config)
         sign = (-1.0) ** np.arange(config.nx)
-        theta = F.grid.angles
-        F.values += 0.02 * config.mu * (
+        theta = build_sphere_grid(2, config.ntheta).angles
+        F += 0.02 * config.mu * (
             sign[:, None, None] * (1.0 + 0.5 * np.cos(theta))
             + sign[None, :, None] * (1.0 + 0.5 * np.sin(theta))
             + (sign[:, None] * sign[None, :])[..., None])
@@ -162,15 +161,14 @@ def test_diagnostics_match_nodal_oracle(nyquist_init, mode, mu, angle, nx):
     grid = build_sphere_grid(2, cfg.ntheta)
     snaps = run(cfg).snapshots
     if mode == "linearized":  # the physical fields of the run
-        Meq = solver._workspace_of(cfg, cfg.dt).Meq
+        Meq = solver._workspace_of(cfg).Meq
         snaps = [(t, mu * Meq + v) for t, v in snaps]
-    got = [diagnostics(PhaseField(v, cfg.gamma, grid), mu) for _, v in snaps]
+    got = [diagnostics(v, grid, mu) for _, v in snaps]
     want = [nodal_diagnostics(v, mu, grid) for _, v in snaps]
     _compare(got, want, "nonlinear", mu)  # every column of a physical field
     for (_, v), row in zip(snaps, got):
-        F = PhaseField(v, cfg.gamma, grid)
-        assert dist_to_manifold(F, mu) == row["dist"]
-        assert entropy_functional(F) == row["entropy"]
+        assert dist_to_manifold(v, grid, mu) == row["dist"]
+        assert entropy_functional(v) == row["entropy"]
 
 
 @pytest.mark.parametrize("mu", [1.5, 2.5])
@@ -182,8 +180,7 @@ def test_diagnostics_of_a_field_with_zero_and_negative_entries(mu):
     v[v < 0.1] = 0.0
     v[0, 1, :4] = -0.2
     assert (v == 0.0).any() and (v < 0.0).any()
-    F = PhaseField(v, 10.0, grid)
-    got, want = diagnostics(F, mu), nodal_diagnostics(v, mu, grid)
+    got, want = diagnostics(v, grid, mu), nodal_diagnostics(v, mu, grid)
     for c, ref in want.items():
         assert abs(got[c] - ref) <= 1e-12 * max(abs(ref), 1.0), c
-    assert abs(entropy_functional(F) - nodal_entropy(v)) <= 1e-12 * abs(nodal_entropy(v))
+    assert abs(entropy_functional(v) - nodal_entropy(v)) <= 1e-12 * abs(nodal_entropy(v))

@@ -15,8 +15,8 @@ from scipy import special
 import vicsekbgk.solver as solver
 from vicsekbgk.equilibria import solve_L
 from vicsekbgk.linstab import flux_relaxation_matrix
-from vicsekbgk.solver import InitSpec, PhaseField, SolverConfig, run, step
-from vicsekbgk.sphere import build_sphere_grid, von_mises, von_mises_gradient
+from vicsekbgk.solver import InitSpec, SolverConfig, run, step
+from vicsekbgk.sphere import build_sphere_grid, moments, von_mises, von_mises_gradient
 
 
 class NodalReference:
@@ -133,9 +133,7 @@ def test_run_matches_nodal_reference(monkeypatch, mode, dealias, nx):
                        t_end=nsteps * 0.01, jeq_angle=0.4, dealias=dealias,
                        eps_reg=1.0 if mode == "regularized" else None)
     values = _nyquist_field(cfg)
-    grid = build_sphere_grid(2, cfg.ntheta)
-    monkeypatch.setattr(solver, "init_field",
-                        lambda config: PhaseField(values, config.gamma, grid))
+    monkeypatch.setattr(solver, "init_field", lambda config: values)
     spectral = run(cfg).snapshots[-1][1]
 
     ref = NodalReference(cfg)
@@ -179,9 +177,9 @@ def _record_transforms(monkeypatch):
 
 def _count_transforms(monkeypatch, cfg):
     S = np.fft.rfft2(_nyquist_field(cfg), axes=(0, 1))
-    step(S, cfg.dt, cfg)        # build the workspace outside the count
+    step(S, cfg)        # build the workspace outside the count
     calls = _record_transforms(monkeypatch)
-    step(S, cfg.dt, cfg)
+    step(S, cfg)
     return calls
 
 
@@ -230,12 +228,11 @@ def test_collide_linear_matches_complex_moment_oracle():
     # the complex-moment formula the two real GEMMs replaced, at a long
     # half-step so that the rank-3 term is not small beside e^{-h} S
     cfg, S = _config_and_spectrum("linearized", dt=0.5)
-    ws = solver._workspace_of(cfg, cfg.dt)
+    ws = solver._workspace_of(cfg)
     assert np.abs(S.imag).max() > 0.1
     V = ws.V2[0::2, 0::2]
-    weights = solver._moment_weights(ws.grid)
-    oracle = ws.decay * S + np.tensordot(solver._moments(S, weights), V,
-                                         axes=(0, 0))
+    rho, J = moments(S, ws.grid)
+    oracle = ws.decay * S + np.concatenate([rho[..., None], J], axis=-1) @ V
     out = solver._collide_linear(S, ws)
     eps = np.finfo(float).eps
     assert out.shape == S.shape and out.dtype == S.dtype
@@ -245,7 +242,7 @@ def test_collide_linear_matches_complex_moment_oracle():
 @pytest.mark.parametrize("mode", ["nonlinear", "regularized"])
 def test_collide_reads_spectral_moments_of_complex_oracle(monkeypatch, mode):
     cfg, S = _config_and_spectrum(mode)
-    ws = solver._workspace_of(cfg, cfg.dt)
+    ws = solver._workspace_of(cfg)
     seen = []
     irfft2 = np.fft.irfft2
 
@@ -255,11 +252,12 @@ def test_collide_reads_spectral_moments_of_complex_oracle(monkeypatch, mode):
 
     monkeypatch.setattr(np.fft, "irfft2", spy)
     solver._collide(S, ws)
-    oracle = solver._moments(S, solver._moment_weights(ws.grid))
+    rho, J = moments(S, ws.grid)
+    oracle = np.concatenate([rho[None], np.moveaxis(J, -1, 0)])
     eps = np.finfo(float).eps
-    [moments] = seen
-    assert moments.shape == oracle.shape == (3, 16, 9)
-    assert np.max(np.abs(moments - oracle)) <= 4 * eps * np.max(np.abs(oracle))
+    [spectral] = seen
+    assert spectral.shape == oracle.shape == (3, 16, 9)
+    assert np.max(np.abs(spectral - oracle)) <= 4 * eps * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("mode", ["nonlinear", "linearized", "regularized"])
@@ -268,6 +266,6 @@ def test_step_accepts_fortran_ordered_spectrum(mode):
     SF = np.asfortranarray(S)
     assert not SF.flags.c_contiguous
     before = SF.copy(order="K")
-    out = step(SF, cfg.dt, cfg)
-    assert np.array_equal(out.view(float), step(S, cfg.dt, cfg).view(float))
+    out = step(SF, cfg)
+    assert np.array_equal(out.view(float), step(S, cfg).view(float))
     assert np.array_equal(SF, before) and SF.flags.f_contiguous
