@@ -20,15 +20,15 @@ module checks only the keys that never reach the solver (fit windows, sweep
 controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells and a
 linear-decay k_max whose lattice holds more than _MAX_ABSCISSA_WAVENUMBERS
 or sums |k| above _MAX_ABSCISSA_LENGTH are rejected from their arithmetic
-size).  Each run writes its
+size).  solver.validate also rejects an eps_reg outside regularized
+mode, where it would be ignored.  Each run writes its
 artifacts plus a manifest.json (resolved config, version, wall time, output
 list, summary scalars) into --output-dir; the manifest is written last and
-atomically.  A run that fails before writing any artifact (exit 1) still
-writes a manifest, with no outputs and the error and its type as summary;
-a solver abort adds its time (last_valid_time) and the last good
-diagnostics row (last_good_row).
-A run first deletes the directory's previous manifest, so one that fails
-after writing artifacts leaves none behind.
+atomically.  A run that fails (exit 1) still writes a manifest, with no
+outputs listed, even if it wrote some, and the error and its type as
+summary; a solver abort adds its time (last_valid_time) and the last good
+diagnostics row (last_good_row).  A run first deletes the directory's
+previous manifest, so no earlier run's manifest is left beside its files.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -79,8 +80,9 @@ from .solver import (
     write_snapshot,
 )
 
+_SOLVER_EXPERIMENTS = ("simulate", "linear-decay", "entropy")
 EXPERIMENTS = ("bifurcation", "homogeneous", "dispersion", "bounds",
-               "simulate", "linear-decay", "entropy")
+               *_SOLVER_EXPERIMENTS)
 
 
 class ConfigError(Exception):
@@ -307,7 +309,7 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["re_max"] >= 0, "re_max", "must be >= 0")
         _need(c["im_max"] > 0, "im_max", "must be > 0")
         _need(c["kmag_max"] >= c["gamma"], "kmag_max", "must be >= gamma")
-    elif experiment in _SOLVER_INITS:
+    elif experiment in _SOLVER_EXPERIMENTS:
         if "fit_t_min" in c:
             _need(c["fit_t_min"] >= 0, "fit_t_min", "must be >= 0")
             _need(c["fit_t_max"] is None or c["fit_t_max"] > c["fit_t_min"],
@@ -337,11 +339,6 @@ def validate_config(experiment: str, c: dict) -> None:
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-
-def _file_times(outdir: str) -> dict:
-    """Modification time of each entry of outdir, by name."""
-    return {e.name: e.stat().st_mtime_ns for e in os.scandir(outdir)}
-
 
 def _write_manifest(outdir: str, experiment: str, config: dict,
                     outputs: list[str], summary: dict, t0: float) -> str:
@@ -460,34 +457,34 @@ def _run_bounds(c: dict, outdir: str):
     return [path], summary
 
 
+# the SolverConfig fields an experiment config may carry under their own name
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"mode", "init"}
+
+
 def _solver_config(c: dict, mode: str, init: InitSpec) -> SolverConfig:
-    return SolverConfig(
-        mu=c["mu"], mode=mode, gamma=c["gamma"], nx=c["nx"],
-        ntheta=c["ntheta"], dt=c["dt"], t_end=c["t_end"],
-        eps_reg=c.get("eps_reg"), jeq_angle=c.get("jeq_angle", 0.0),
-        init=init, snapshot_every=c["snapshot_every"], seed=c["seed"],
-        keep_snapshots=c.get("keep_snapshots", False),
-        dealias=c.get("dealias", True))
-
-
-# solver experiment -> (mode, InitSpec from its resolved config)
-_SOLVER_INITS = {
-    "simulate": lambda c: (c["mode"], InitSpec(**c["init"])),
-    "linear-decay": lambda c: (
-        "linearized", InitSpec(recipe="random-smooth", amplitude=c["amplitude"])),
-    "entropy": lambda c: (
-        "regularized", InitSpec(recipe="large-blob", width=c["width"])),
-}
+    """The SolverConfig with the given mode and init whose other fields are
+    the entries of c named like them; a field c lacks keeps its default."""
+    return SolverConfig(mode=mode, init=init,
+                        **{key: c[key] for key in _SOLVER_KEYS & c.keys()})
 
 
 def _experiment_solver_config(experiment: str, c: dict) -> SolverConfig:
     """The SolverConfig of a solver experiment, for validation and for the
     run alike."""
-    mode, init = _SOLVER_INITS[experiment](c)
-    return _solver_config(c, mode, init)
+    if experiment == "simulate":
+        return _solver_config(c, c["mode"], InitSpec(**c["init"]))
+    if experiment == "linear-decay":
+        return _solver_config(c, "linearized", InitSpec(
+            recipe="random-smooth", amplitude=c["amplitude"]))
+    return _solver_config(c, "regularized",
+                          InitSpec(recipe="large-blob", width=c["width"]))
 
 
-def _write_run_outputs(outdir: str, result) -> list[str]:
+def _run_solver(experiment: str, c: dict, outdir: str):
+    """Run a solver experiment and write its diagnostics and snapshots;
+    returns the RunResult, the written paths and the end of the fit window
+    (t_end unless fit_t_max is set)."""
+    result = run(_experiment_solver_config(experiment, c))
     paths = [os.path.join(outdir, "diagnostics.csv")]
     write_diagnostics_csv(paths[0], result.series)
     cfg = result.config
@@ -496,7 +493,8 @@ def _write_run_outputs(outdir: str, result) -> list[str]:
         raw, meta = write_snapshot(base, values, gamma=cfg.gamma, mu=cfg.mu,
                                    t=t, mode=cfg.mode)
         paths.extend([raw, meta])
-    return paths
+    t_max = c["t_end"] if c.get("fit_t_max") is None else c["fit_t_max"]
+    return result, paths, t_max
 
 
 def _mass_drift(result) -> float:
@@ -510,10 +508,8 @@ def _mass_drift(result) -> float:
 
 
 def _run_simulate(c: dict, outdir: str):
-    cfg = _experiment_solver_config("simulate", c)
-    result = run(cfg)
-    paths = _write_run_outputs(outdir, result)
-    s = result.series
+    result, paths, t_max = _run_solver("simulate", c, outdir)
+    s, mu = result.series, c["mu"]
     summary = {
         "mass_initial": float(s.mass[0]),
         "mass_drift_rel": _mass_drift(result),
@@ -522,12 +518,11 @@ def _run_simulate(c: dict, outdir: str):
     if c["mode"] != "linearized":
         J0bar = np.array([s.jbar_x[0], s.jbar_y[0]])
         Jinf = np.array([s.jbar_x[-1], s.jbar_y[-1]])
-        if cfg.mu > 2.0 and np.linalg.norm(J0bar) > 0:
-            J1 = project_to_manifold(cfg.mu, J0bar)
+        if mu > 2.0 and np.linalg.norm(J0bar) > 0:
+            J1 = project_to_manifold(mu, J0bar)
             summary["J1"] = [float(J1[0]), float(J1[1])]
             summary["J_infty"] = [float(Jinf[0]), float(Jinf[1])]
             summary["J_gap"] = float(np.linalg.norm(J1 - Jinf))
-    t_max = c["fit_t_max"] if c["fit_t_max"] is not None else c["t_end"]
     try:
         rate, r2 = fit_decay_rate(s, c["fit_t_min"], t_max, column="dist")
         summary["dist_rate"] = rate
@@ -539,10 +534,8 @@ def _run_simulate(c: dict, outdir: str):
 
 
 def _run_linear_decay(c: dict, outdir: str):
-    result = run(_experiment_solver_config("linear-decay", c))
-    paths = _write_run_outputs(outdir, result)
+    result, paths, t_max = _run_solver("linear-decay", c, outdir)
     s = result.series
-    t_max = c["fit_t_max"] if c["fit_t_max"] is not None else c["t_end"]
     rate, r2 = fit_decay_rate(s, c["fit_t_min"], t_max, column="l2")
     predicted = spectral_abscissa(c["mu"], c["gamma"], c["k_max"],
                                   delta=c["delta"])
@@ -557,8 +550,7 @@ def _run_linear_decay(c: dict, outdir: str):
 
 
 def _run_entropy(c: dict, outdir: str):
-    result = run(_experiment_solver_config("entropy", c))
-    paths = _write_run_outputs(outdir, result)
+    result, paths, _ = _run_solver("entropy", c, outdir)
     s = result.series
     fit = fit_entropy_growth(s)
     summary = {
@@ -619,20 +611,15 @@ def main(argv=None) -> int:
     os.makedirs(outdir, exist_ok=True)
     if os.path.isfile(stale := os.path.join(outdir, "manifest.json")):
         os.remove(stale)        # it marks a completed run, not this one
-    before = _file_times(outdir)
     try:
         outputs, summary = _RUNNERS[experiment](config, outdir)
     except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        # a run that failed before writing any artifact records the failure
-        # in its manifest; one that failed after (a fit over the written
-        # series) leaves its artifacts without one, as an unfinished run
-        if _file_times(outdir).items() <= before.items():
-            summary = {"error": str(exc), "error_type": type(exc).__name__}
-            if isinstance(exc, SolverAbort):
-                summary["last_valid_time"] = exc.t
-                summary["last_good_row"] = exc.last_good_row
-            _write_manifest(outdir, experiment, config, [], summary, t0)
+        summary = {"error": str(exc), "error_type": type(exc).__name__}
+        if isinstance(exc, SolverAbort):
+            summary["last_valid_time"] = exc.t
+            summary["last_good_row"] = exc.last_good_row
+        _write_manifest(outdir, experiment, config, [], summary, t0)
         return 1
     manifest_path = _write_manifest(outdir, experiment, config,
                                     [os.path.basename(p) for p in outputs],

@@ -293,14 +293,15 @@ def asymptotic_L(mu: float, d: int) -> float:
     return math.sqrt((d + 2.0) * (mu - d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def solve_L(mu: float, d: int, tol: float = 1e-12) -> float:
     """Positive root of mu c(L) = L (0 for mu <= d).
 
     Brackets with [asymptotic_L/2, mu] (c < 1 forces the root below mu),
     solves by Brent's method (_brentq, bit-identical to scipy's brentq),
     then Newton-polishes until the residual |mu c(L) - L| drops below tol.
-    Results are cached.
+    The last 128 results are cached: more than the 101 mu of the default
+    branch, while a longer sweep keeps only its last 128.
     """
     mu = float(mu)
     if mu <= d:

@@ -193,6 +193,9 @@ def validate(config: SolverConfig) -> None:
     if config.mode == "regularized":
         _require(config.eps_reg is not None and config.eps_reg > 0, "eps_reg",
                  "must be > 0 in regularized mode")
+    else:
+        _require(config.eps_reg is None, "eps_reg",
+                 "must be null outside regularized mode, which alone reads it")
     _require(_is_int(config.snapshot_every) and config.snapshot_every >= 1,
              "snapshot_every", "must be a positive integer")
     _require(_is_int(config.seed) and config.seed >= 0, "seed",
@@ -285,7 +288,7 @@ class _Workspace:
             self.Z = np.empty((2 * rows.size, self.lo * ntheta))
         self.h = 0.5 * dt
         self.decay = math.exp(-self.h)
-        self.eps_reg = eps_reg if mode == "regularized" else None
+        self.eps_reg = eps_reg
         Jeq = _equilibrium_flux(mu, jeq_angle)
         self.Meq = von_mises(Jeq, self.grid)
         if mode == "linearized":
@@ -299,7 +302,9 @@ class _Workspace:
             self.decay2 = self.decay * self.decay
 
 
-_workspace = lru_cache(maxsize=8)(_Workspace)
+# a process steps one grid and operator at a time, and a workspace can hold
+# hundreds of MB (213 MB nonlinear at 256^2 x 128), so only the last is kept
+_workspace = lru_cache(maxsize=1)(_Workspace)
 
 
 def _workspace_of(config: SolverConfig) -> _Workspace:

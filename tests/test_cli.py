@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,8 @@ import pytest
 
 import vicsekbgk.cli as cli
 import vicsekbgk.linstab as linstab
-from vicsekbgk.solver import _CSV_BLOCK, DIAGNOSTICS_HEADER, SolverAbort
+from vicsekbgk.solver import (_CSV_BLOCK, DIAGNOSTICS_HEADER, InitSpec,
+                              SolverAbort, SolverConfig)
 from test_linstab import _singular_at
 from test_solver import _nan_after, _write_csv_per_value
 
@@ -142,6 +144,7 @@ def test_infinite_dt_exits_2(tmp_path, capsys):
     (["simulate", "--set", "mode=linearized", "--set", "init.recipe=mode-bump",
       "--set", "init.mode_k=[0,0]"], "init.mode_k"),
     (["simulate", "--set", "seed=-1"], "seed"),
+    (["simulate", "--set", "eps_reg=0.1"], "eps_reg"),  # nonlinear ignores it
 ])
 def test_solver_rule_exits_2_before_computing(tmp_path, capsys, argv, key):
     start = time.monotonic()
@@ -152,6 +155,39 @@ def test_solver_rule_exits_2_before_computing(tmp_path, capsys, argv, key):
     assert "config error" in err and key in err
     assert not (tmp_path / "manifest.json").exists()
     assert elapsed < 1.0
+
+
+# each solver experiment's SolverConfig at its DEFAULTS, field by field: a
+# renamed config key would silently fall back to SolverConfig's default
+_DEFAULT_SOLVER_CONFIGS = {
+    "simulate": SolverConfig(
+        mu=2.2, mode="nonlinear", gamma=10.0, nx=32, ntheta=64, dt=0.01,
+        t_end=40.0, eps_reg=None, jeq_angle=0.0,
+        init=InitSpec(recipe="random-smooth", amplitude=0.01, mode_k=(1, 0),
+                      width=0.7),
+        snapshot_every=50, seed=0, keep_snapshots=False, dealias=True),
+    "linear-decay": SolverConfig(
+        mu=1.5, mode="linearized", gamma=10.0, nx=32, ntheta=64, dt=0.01,
+        t_end=30.0, eps_reg=None, jeq_angle=0.0,
+        init=InitSpec(recipe="random-smooth", amplitude=1.0, mode_k=(1, 0),
+                      width=0.7),
+        snapshot_every=25, seed=11, keep_snapshots=False, dealias=True),
+    "entropy": SolverConfig(
+        mu=3.0, mode="regularized", gamma=10.0, nx=32, ntheta=128, dt=0.01,
+        t_end=20.0, eps_reg=0.1, jeq_angle=0.0,
+        init=InitSpec(recipe="large-blob", amplitude=0.0, mode_k=(1, 0),
+                      width=0.55),
+        snapshot_every=20, seed=0, keep_snapshots=False, dealias=True),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_DEFAULT_SOLVER_CONFIGS))
+def test_default_solver_config_field_by_field(experiment):
+    c = cli.resolve_config(experiment, None, [])
+    got = cli._experiment_solver_config(experiment, c)
+    want = _DEFAULT_SOLVER_CONFIGS[experiment]
+    for f in dataclasses.fields(SolverConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_non_finite_json_rejected(tmp_path):
@@ -340,8 +376,14 @@ def test_fit_window_failure_exits_1(tmp_path, capsys):
                    "--quiet", "--output-dir", str(tmp_path)])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
-    # no manifest: its presence marks a completed run
-    assert not (tmp_path / "manifest.json").exists()
+    # the diagnostics were written before the fit failed; the manifest
+    # records the failure and lists no outputs
+    assert (tmp_path / "diagnostics.csv").exists()
+    manifest = _read_manifest(tmp_path)
+    assert manifest["summary"] == {
+        "error": "fewer than 3 usable points in the fit window",
+        "error_type": "ValueError"}
+    assert manifest["outputs"] == []
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
@@ -354,8 +396,12 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
                           "--set", "fit_t_max=1.95"])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
-    # the first run's manifest would describe the second run's files
-    assert not (tmp_path / "manifest.json").exists()
+    # the manifest beside the second run's files is its own failure record,
+    # not the first run's success
+    manifest = _read_manifest(tmp_path)
+    assert manifest["config"]["seed"] == 2
+    assert manifest["summary"]["error"]
+    assert manifest["outputs"] == []
 
 
 def test_solver_abort_writes_failure_manifest(tmp_path, monkeypatch, capsys):

@@ -130,6 +130,13 @@ def test_solve_L_matches_bisection_oracle():
             assert abs(solve_L(mu, d) - bisect_branch(mu, d)) < 1e-10
 
 
+def test_long_branch_keeps_the_solve_L_cache_bounded():
+    # every mu of a branch is a new key; the cache keeps at most its bound
+    bound = solve_L.cache_info().maxsize
+    equilibrium_branch(np.linspace(2.0, 4.0, 3 * bound + 1), 2)
+    assert solve_L.cache_info().currsize <= bound
+
+
 def test_solve_L_quadratic_asymptotics():
     d = 2
     gaps = np.array([1e-1, 1e-2, 1e-3])

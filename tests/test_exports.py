@@ -17,15 +17,21 @@ def test_every_name_in_all_resolves(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_importing_a_module_loads_no_other_layer():
-    # the package re-exports nothing, so importing the equilibria loads
-    # neither the dispersion machinery, the solver nor the command line
+@pytest.mark.parametrize("name, unloaded", [
+    ("sphere", ["equilibria", "linstab", "solver", "cli"]),
+    ("equilibria", ["linstab", "solver", "cli"]),
+    ("linstab", ["solver", "cli"]),
+    ("solver", ["cli"]),
+], ids=["sphere", "equilibria", "linstab", "solver"])
+def test_importing_a_module_loads_no_other_layer(name, unloaded):
+    # the package re-exports nothing, so importing one layer loads none of
+    # the layers built on it
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    layers = [f"vicsekbgk.{m}" for m in unloaded]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vicsekbgk.equilibria; "
-         "print(sorted(m for m in ('vicsekbgk.linstab', 'vicsekbgk.solver', "
-         "'vicsekbgk.cli') if m in sys.modules))"],
+         f"import sys, vicsekbgk.{name}; "
+         f"print(sorted(m for m in {layers!r} if m in sys.modules))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -88,6 +88,14 @@ def test_validate_requires_integer_fields(key, value):
                                         key: value}))
 
 
+@pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+def test_validate_rejects_eps_reg_outside_regularized_mode(mode):
+    # only the regularized collision reads eps_reg; elsewhere it is an error
+    solver.validate(SolverConfig(mu=1.0, mode="regularized", eps_reg=0.1))
+    with pytest.raises(ValueError, match="invalid value for eps_reg:"):
+        solver.validate(SolverConfig(mu=1.0, mode=mode, eps_reg=0.1))
+
+
 def test_equilibrium_flux():
     assert np.all(solver._equilibrium_flux(1.5, 0.0) == 0.0)
     J = solver._equilibrium_flux(2.5, 0.7)
@@ -348,6 +356,14 @@ def test_workspace_ignores_run_controls():
     init_field(a)
     init_field(b)
     assert solver._workspace.cache_info().misses == 1
+
+
+def test_workspace_cache_keeps_one():
+    # runs of two configs leave only the second one's workspace cached
+    run(SolverConfig(mu=2.2, nx=8, ntheta=16, t_end=0.02))
+    run(SolverConfig(mu=1.5, mode="linearized", nx=8, ntheta=16, t_end=0.02,
+                     init=InitSpec(amplitude=0.1)))
+    assert solver._workspace.cache_info().currsize == 1
 
 
 def test_run_rejects_misaligned_t_end():
