@@ -600,17 +600,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    experiment = args.experiment
+    experiment, outdir = args.experiment, args.output_dir
     try:
         config = resolve_config(experiment, args.config, args.overrides)
-    except ConfigError as exc:
+        os.makedirs(outdir, exist_ok=True)
+        if os.path.isfile(stale := os.path.join(outdir, "manifest.json")):
+            os.remove(stale)    # it marks a completed run, not this one
+    except (ConfigError, OSError) as exc:   # an unusable --output-dir, too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.monotonic()
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    if os.path.isfile(stale := os.path.join(outdir, "manifest.json")):
-        os.remove(stale)        # it marks a completed run, not this one
     try:
         outputs, summary = _RUNNERS[experiment](config, outdir)
     except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:

@@ -140,13 +140,35 @@ def _i0e_i1e(x):
     return i0.reshape(shape), i1.reshape(shape)
 
 
-def _limit_at_infinity(fn, r: np.ndarray, d: int, limit: float) -> np.ndarray:
-    """fn(r, d) on the entries of the array r other than +inf, and limit
-    on those."""
-    out = np.full(r.shape, limit)
-    rest = r != np.inf
-    out[rest] = fn(r[rest], d)
-    return out
+def _concentration_policy(values, r, d: int, limit: float):
+    """values(r, d) under the argument rules c and c' share: d in (2, 3),
+    r >= 0, the limit at r = +inf, and a float for a 0-d r.  values takes
+    a 1-d array without +inf."""
+    if d not in (2, 3):
+        raise ValueError("c(r) is implemented for d in (2, 3)")
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError("concentration must be nonnegative")
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+    if np.any(r == np.inf):
+        out = np.full(r.shape, limit)
+        rest = r != np.inf
+        out[rest] = values(r[rest], d)
+    else:
+        out = values(r, d)
+    return float(out[0]) if scalar else out
+
+
+def _c_values(r: np.ndarray, d: int) -> np.ndarray:
+    """c(r) on a 1-d array of r >= 0 without +inf."""
+    if d == 2:
+        i0, i1 = _i0e_i1e(r)
+        return np.where(r > 0, i1 / i0, 0.0)
+    small = r < 1e-3
+    rs = np.where(small, 1.0, r)
+    return np.where(small, r / 3.0 - r**3 / 45.0 + 2.0 * r**5 / 945.0,
+                    1.0 / np.tanh(rs) - 1.0 / rs)
 
 
 def order_parameter(r, d: int):
@@ -156,28 +178,10 @@ def order_parameter(r, d: int):
     coth(r) - 1/r on the 2-sphere.  Vectorized in r; c(0) = 0,
     c'(0) = 1/d, and c(r) increases to c(inf) = 1.
     """
-    if d not in (2, 3):
-        raise ValueError("c(r) is implemented for d in (2, 3)")
     if d == 2 and isinstance(r, float) and 0.0 < r < math.inf:
         i0, i1 = _i0e_i1e(float(r))  # the root finders' and RK4's calls
         return i1 / i0
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("concentration must be nonnegative")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r == np.inf):
-        out = _limit_at_infinity(order_parameter, r, d, 1.0)
-    elif d == 2:
-        i0, i1 = _i0e_i1e(r)
-        out = np.where(r > 0, i1 / i0, 0.0)
-    else:
-        small = r < 1e-3
-        rs = np.where(small, 1.0, r)
-        out = np.where(small,
-                       r / 3.0 - r**3 / 45.0 + 2.0 * r**5 / 945.0,
-                       1.0 / np.tanh(rs) - 1.0 / rs)
-    return float(out[0]) if scalar else out
+    return _concentration_policy(_c_values, r, d, 1.0)
 
 
 def _c_over_r(r: np.ndarray) -> np.ndarray:
@@ -191,32 +195,26 @@ def _c_over_r(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _c_prime_values(r: np.ndarray, d: int) -> np.ndarray:
+    """c'(r) on a 1-d array of r >= 0 without +inf."""
+    if d == 2:
+        i0, i1 = _i0e_i1e(r)
+        return 1.0 - _c_over_r(r) - (i1 / i0)**2
+    small = r < 1e-2
+    big = r > 300.0
+    rs = np.where(small | big, 1.0, r)
+    return np.where(small, 1.0 / 3.0 - r**2 / 15.0 + 2.0 * r**4 / 189.0,
+                    np.where(big, 1.0 / np.maximum(r, 1.0) ** 2,
+                             1.0 / rs**2 - 1.0 / np.sinh(rs) ** 2))
+
+
 def order_parameter_derivative(r, d: int):
     """dc/dr for d in (2, 3), used by Newton polishing and stability formulas.
 
     For d=2, c' = 1 - c/r - c^2 (Bessel recurrences); for d=3,
     c' = 1/r^2 - 1/sinh^2 r; c' > 0 and c'(inf) = 0.
     """
-    if d not in (2, 3):
-        raise ValueError("c(r) is implemented for d in (2, 3)")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("concentration must be nonnegative")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r == np.inf):
-        out = _limit_at_infinity(order_parameter_derivative, r, d, 0.0)
-    elif d == 2:
-        i0, i1 = _i0e_i1e(r)
-        out = 1.0 - _c_over_r(r) - (i1 / i0)**2
-    else:
-        small = r < 1e-2
-        big = r > 300.0
-        rs = np.where(small | big, 1.0, r)
-        out = np.where(small, 1.0 / 3.0 - r**2 / 15.0 + 2.0 * r**4 / 189.0,
-                       np.where(big, 1.0 / np.maximum(r, 1.0) ** 2,
-                                1.0 / rs**2 - 1.0 / np.sinh(rs) ** 2))
-    return float(out[0]) if scalar else out
+    return _concentration_policy(_c_prime_values, r, d, 0.0)
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,

@@ -59,7 +59,6 @@ __all__ = [
     "flux_relaxation_matrix",
     "lambda_J",
     "axis_coefficients",
-    "DispersionCoefficients",
     "dispersion_coefficients",
     "phi0",
     "phi2",
@@ -361,12 +360,16 @@ def _assemble(T: np.ndarray, mu: float) -> dict:
             "h": h, "det": det, "sigma_min": sigma_min}
 
 
-def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
-    """Coefficients, h, det and sigma_min at a batch of z for one k.
+def dispersion_coefficients(zs, k, mu: float, J=None) -> dict:
+    """(a, b, b_bar, A), h, det and sigma_min at a batch of z for one k of
+    shape (2,), one row per z; a scalar z is a batch of one.
 
-    J must be an equilibrium flux, checked once by the public caller
-    (``_check_equilibrium``); k must have shape (2,).
+    det = det(Id - mu A) and sigma_min, the smallest singular value of
+    Id - mu A, are positive iff the flux block is invertible; where they
+    vanish h is not finite.  J is the equilibrium flux (None for J = 0),
+    checked by ``_check_equilibrium``.
     """
+    J = _check_equilibrium(mu, J, 2)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.real <= -1.0):
         raise ValueError("need Re z > -1")
@@ -374,47 +377,6 @@ def _coefficient_batch(zs, k, mu: float, J: np.ndarray) -> dict:
     if k.shape != (2,):
         raise ValueError(f"wavenumber must have shape (2,), got {k.shape}")
     return _assemble(_integrals(zs, k, _column_spectrum(tuple(map(float, J)))), mu)
-
-
-@dataclass(frozen=True)
-class DispersionCoefficients:
-    """Fourier-Laplace coefficients of the moment system at one (z, k).
-
-    h is the scalar dispersion function; sigma_min the smallest singular
-    value of Id - mu A (positive iff the flux block is invertible).
-    """
-
-    z: complex
-    k: np.ndarray
-    mu: float
-    a: complex
-    b: np.ndarray
-    b_bar: np.ndarray
-    A: np.ndarray
-    h: complex
-    sigma_min: float
-
-
-def dispersion_coefficients(z: complex, k, mu: float,
-                            J=None) -> DispersionCoefficients:
-    """Evaluate (a, b, bbar, A, h) at a single (z, k), k of shape (2,).
-
-    Raises SingularOperatorError when Id - mu A is numerically singular
-    (the elimination of J~ is then meaningless).
-    """
-    k = np.asarray(k, dtype=float)
-    out = _coefficient_batch(np.array([z]), k, mu,
-                             _check_equilibrium(mu, J, 2))
-    sigma = float(out["sigma_min"][0])
-    if not sigma > 1e-12:
-        raise SingularOperatorError(
-            f"Id - mu A singular at z={z}, k={np.asarray(k)}: "
-            f"sigma_min={sigma:.3e}", sigma_min=sigma, z=complex(z),
-            k=np.asarray(k, dtype=float))
-    return DispersionCoefficients(
-        z=complex(z), k=np.asarray(k, dtype=float), mu=float(mu),
-        a=complex(out["a"][0]), b=out["b"][0].copy(), b_bar=out["b_bar"][0].copy(),
-        A=out["A"][0].copy(), h=complex(out["h"][0]), sigma_min=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +678,8 @@ def fl_solve(z: complex, k, mu: float, J, f0_hat) -> FLSolution:
         f0_hat: complex nodal values of the transformed initial datum on
             the uniform circle grid of len(f0_hat) nodes.
 
-    Raises SingularSymbolError when h(z, k) = 0 (z is a dispersion root) and
-    SingularOperatorError when Id - mu A is singular.
+    Raises SingularOperatorError when Id - mu A is singular (sigma_min <=
+    1e-12) and SingularSymbolError when h(z, k) = 0 (z is a dispersion root).
 
     The returned moments are exact (independent of the grid resolution); the
     nodal values f_tilde are pointwise exact as well, but quadrature of
@@ -732,7 +694,13 @@ def fl_solve(z: complex, k, mu: float, J, f0_hat) -> FLSolution:
     grid = build_sphere_grid(2, f0_hat.size)
     J = _check_equilibrium(mu, J, 2)
     co = dispersion_coefficients(z, k, mu, J)
-    a, bvec, bbar, A, h = co.a, co.b, co.b_bar, co.A, co.h
+    sigma = float(co["sigma_min"][0])
+    if not sigma > 1e-12:
+        raise SingularOperatorError(
+            f"Id - mu A singular at z={z}, k={k}: sigma_min={sigma:.3e}",
+            sigma_min=sigma, z=complex(z), k=k)
+    a, bvec, bbar, A = (co[name][0] for name in ("a", "b", "b_bar", "A"))
+    h = complex(co["h"][0])
     if abs(h) < 1e-10:
         raise SingularSymbolError(
             f"h(z, k) = {h:.3e}: z is a dispersion root", z=complex(z), k=k)
@@ -744,9 +712,12 @@ def fl_solve(z: complex, k, mu: float, J, f0_hat) -> FLSolution:
     R = _integrals(np.array([z], dtype=complex), k, rhat)[0]
     r_rho, r_J = complex(R[0]), np.array(R[1:3])
 
-    Mop = np.eye(2) - mu * A
-    rho_t = complex((r_rho + mu * bbar @ np.linalg.solve(Mop, r_J)) / h)
-    J_t = np.linalg.solve(Mop, bvec * rho_t + r_J)
+    # eliminate J~ = (Id - mu A)^{-1} (b rho~ + r_J) by the 2x2 adjugate
+    Mop = (np.eye(2) - mu * A)[None]
+    det, adj_r = _det_adjugate_2d(Mop, r_J[None])
+    rho_t = complex((r_rho + mu * bbar @ (adj_r[0] / det[0])) / h)
+    _, adj_J = _det_adjugate_2d(Mop, (bvec * rho_t + r_J)[None])
+    J_t = adj_J[0] / det[0]
 
     den_nodes = 1.0 + z + 1j * (grid.nodes @ k)
     Mvals = von_mises(J, grid)

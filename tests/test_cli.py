@@ -118,6 +118,22 @@ def test_config_error_exits_2_before_computing(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_output_dir_exits_2(tmp_path, sub):
+    # a file where the directory, or one of its parents, should be
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vicsekbgk", "bifurcation", "--set", "num=3",
+         "--output-dir", str(blocker / sub)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+    assert blocker.read_bytes() == b"not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_non_number_exits_2(tmp_path, capsys):
     rc = cli.main(["simulate", "--set", "gamma=abc", "--quiet",
                    "--output-dir", str(tmp_path)])

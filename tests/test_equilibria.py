@@ -70,8 +70,18 @@ def test_order_parameter_rejects_other_dimensions():
     # the circle and the sphere only, as every grid and the CLI
     for d in (1, 4):
         for fn in (order_parameter, order_parameter_derivative):
-            with pytest.raises(ValueError, match=r"d in \(2, 3\)"):
-                fn(1.0, d)
+            for r in (1.0, np.array([0.5, 2.0])):
+                with pytest.raises(ValueError, match=r"d in \(2, 3\)"):
+                    fn(r, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [-1.0, np.array(-1e-300), np.array([0.5, -2.0, 3.0])],
+                         ids=["float", "0-d", "array"])
+def test_order_parameter_rejects_negative_concentration(r, d):
+    for fn in (order_parameter, order_parameter_derivative):
+        with pytest.raises(ValueError, match="concentration must be nonnegative"):
+            fn(r, d)
 
 
 def test_ratio_c_over_r_decreasing():
