@@ -55,8 +55,7 @@ from .equilibria import (
 )
 from .linstab import (
     _axis_size,
-    _lattice_length,
-    _lattice_size,
+    _lattice_extent,
     axis_coefficients,
     bound_budget,
     c0_bound,
@@ -269,7 +268,7 @@ def _sweep_cells(c: dict) -> int:
     if nz > cap:
         return nz
     k_max = 5.0 * c["gamma"] if c["k_max"] is None else c["k_max"]
-    return nz * _lattice_size(c["gamma"], k_max, cap // nz)
+    return nz * _lattice_extent(c["gamma"], k_max, cap // nz)[0]
 
 
 def validate_config(experiment: str, c: dict) -> None:
@@ -327,8 +326,8 @@ def validate_config(experiment: str, c: dict) -> None:
         if experiment == "linear-decay" and c["k_max"] is not None:
             # the predicted rate needs a k != 0 on the lattice gamma Z^2
             cap, length = _MAX_ABSCISSA_WAVENUMBERS, _MAX_ABSCISSA_LENGTH
-            _need(0 < _lattice_size(c["gamma"], c["k_max"], cap) <= cap
-                  and _lattice_length(c["gamma"], c["k_max"]) <= length, "k_max",
+            count, summed = _lattice_extent(c["gamma"], c["k_max"], cap)
+            _need(0 < count <= cap and summed <= length, "k_max",
                   "must be null or >= gamma, the shortest wavenumber, and "
                   f"reach at most {cap} lattice wavenumbers of summed |k| at "
                   f"most {length:g}")
@@ -542,7 +541,7 @@ def _run_linear_decay(c: dict, outdir: str):
     summary = {
         "rate_measured": rate,
         "rate_predicted": predicted,
-        "ratio": rate / predicted if predicted != 0 else math.inf,
+        "ratio": rate / predicted if predicted != 0 else None,
         "fit_r2": r2,
         "l2_monotone": bool(np.all(np.diff(s.l2) <= 1e-10)),
     }

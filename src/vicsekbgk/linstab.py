@@ -512,30 +512,21 @@ def _row_extents(gamma: float, k_max: float):
         yield m1
 
 
-def _lattice_size(gamma: float, k_max: float, limit: int) -> int:
-    """len(lattice_wavenumbers(gamma, k_max)), counted from the row extents
-    without building the lattice; any size above limit may be returned as
-    a larger number."""
+def _lattice_extent(gamma: float, k_max: float, limit: int) -> tuple[int, float]:
+    """(len, sum of |k|) of lattice_wavenumbers(gamma, k_max) from the row
+    extents, one numpy pass per row, without building the lattice; once the
+    count passes limit it stops, with the sums of the rows walked so far."""
     # the m2 = 0 row alone holds floor(k_max / gamma) wavenumbers
     if k_max / gamma > limit:
-        return limit + 1
-    count = 0
-    for m2, m1 in enumerate(_row_extents(gamma, k_max)):
+        return limit + 1, 0.0
+    count, total = 0, 0.0
+    for m2, e in enumerate(_row_extents(gamma, k_max)):
         # the half lattice keeps m1 > 0 on the row m2 = 0, every m1 above it
-        count += max(2 * m1 + 1, 0) if m2 else m1
+        count += max(2 * e + 1, 0) if m2 else e
+        total += float(np.hypot(np.arange(-e if m2 else 1, e + 1), m2).sum())
         if count > limit:
             break
-    return count
-
-
-def _lattice_length(gamma: float, k_max: float) -> float:
-    """The sum of |k| over lattice_wavenumbers(gamma, k_max), counted from
-    the row extents without building the lattice; its cost is one numpy
-    pass per row, so bound the lattice with ``_lattice_size`` first."""
-    total = 0.0
-    for m2, e in enumerate(_row_extents(gamma, k_max)):
-        total += float(np.hypot(np.arange(-e if m2 else 1, e + 1), m2).sum())
-    return gamma * total
+    return count, gamma * total
 
 
 def lattice_wavenumbers(gamma: float, k_max: float) -> np.ndarray:
@@ -543,7 +534,7 @@ def lattice_wavenumbers(gamma: float, k_max: float) -> np.ndarray:
     each +-k pair: the coefficients at -k are the complex conjugates of
     those at conj(z), so any sweep whose z grid is symmetric about the real
     axis loses nothing.  Row by row in m2 >= 0, m1 ascending, each row as
-    wide as ``_row_extents``, which ``_lattice_size`` counts.
+    wide as ``_row_extents``, which ``_lattice_extent`` counts.
     """
     if gamma <= 0 or k_max <= 0:
         raise ValueError("gamma and k_max must be positive")

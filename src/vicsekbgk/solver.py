@@ -35,8 +35,8 @@ sides are supported:
                   collision substep is one fixed map, e^{-h} Id plus a rank-3
                   term (rho, J) -> (rho, J) . V.  It acts pointwise in x, so
                   it applies to the spectrum as two real GEMMs, and a step
-                  needs no FFT.  `run` merges each step's closing collision
-                  with the next step's opening one between samples;
+                  needs no FFT.  `_linear_steps` merges each step's closing
+                  collision with the next step's opening one;
 * "regularized":  nonlinear dynamics with the flux clamped,
                   J* -> (J*/|J*|) min(|J*|, 1/eps_reg).
 
@@ -62,6 +62,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -361,13 +362,30 @@ def _rank3(R: np.ndarray, W2: np.ndarray, V: np.ndarray, decay: float,
     return R
 
 
-def _collide_linear(S: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
-    """Exact relaxation of the linearized collision over the half-step span:
-    the workspace's rank-3 map.  It is linear and acts cell by cell, so it
-    applies to the spectrum's float rows as is: two real GEMMs, in place if
-    out is S."""
-    R = _rank3(_float_rows(S if out is S else S.copy()), ws.W2, ws.V2, ws.decay)
-    return R.view(complex).reshape(S.shape)
+def _linear_steps(S: np.ndarray, ws: _Workspace, start: int, end: int,
+                  pair: tuple | None = None) -> int | None:
+    """Advance the C-contiguous linearized half-spectrum S in place through
+    steps start + 1, ..., end; return the first whose state is not finite,
+    or None.  C, the workspace's rank-3 map, acts cell by cell: two real
+    GEMMs on the float rows.  Between a step's transport P and its closing
+    C the state is U = P C S.  The maps are the first step's C, then P; one
+    merged pair U <- P (C C U) per further step; the closing C: end - start
+    + 1 maps.  Map j reads the moments of step start + j's state (step 1's
+    for the initial state), where every theta entry has the weight
+    2pi/ntheta > 0.  pair = (V2pair / decay2, decay2 phase, M, T) is the
+    merged pair's map and transport, which carries its decay e^{-2h}, and
+    the products' scratch; `_samples` builds it once, `step` needs none."""
+    R = _float_rows(S)
+    V, P, M, T = pair or (None, None, np.empty((R.shape[0], 6)), np.empty_like(R))
+    merged = repeat((V, 1.0, P), end - start - 1)
+    maps = chain([(ws.V2, ws.decay, ws.phase)], merged, [(ws.V2, ws.decay, None)])
+    for j, (V, decay, P) in enumerate(maps):
+        _rank3(R, ws.W2, V, decay, M, T)
+        if not np.isfinite(M).all():
+            return max(start + j, 1)
+        if P is not None:
+            S *= P
+    return None
 
 
 def step(S: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -375,10 +393,13 @@ def step(S: np.ndarray, config: SolverConfig) -> np.ndarray:
     dt = config.dt, of the half-spectrum state S = rfft2(F, axes=(0, 1));
     returns the new half-spectrum and leaves S untouched."""
     ws = _workspace_of(config)
-    collide = _collide_linear if config.mode == "linearized" else _collide
-    S = collide(S, ws)
+    if config.mode == "linearized":
+        S = S.copy()
+        _linear_steps(S, ws, 0, 1)
+        return S
+    S = _collide(S, ws)
     S *= ws.phase
-    return collide(S, ws, out=S)
+    return _collide(S, ws, out=S)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +599,6 @@ def diagnostics(values: np.ndarray, grid: SphereGrid, mu: float, *,
             "rho_min": float(rho.min()), "rho_max": float(rho.max())}
 
 
-def _diagnostics_row(values: np.ndarray, S: np.ndarray, t: float,
-                     config: SolverConfig, ws: _Workspace) -> dict:
-    """The row at time t of nodal values and their half-spectrum S (the
-    perturbation's, in linearized mode)."""
-    background = config.mu * ws.Meq if config.mode == "linearized" else None
-    return {**diagnostics(values, ws.grid, config.mu, sums=_spectral_sums(S),
-                          background=background),
-            "t": float(t)}
-
-
 @dataclass
 class RunResult:
     """Output bundle of run(): diagnostics plus retained field snapshots."""
@@ -597,63 +608,62 @@ class RunResult:
     snapshots: list  # [(t, values array), ...]
 
 
-def run(config: SolverConfig) -> RunResult:
-    """Integrate the configured problem from t = 0 to t_end.
-
-    Diagnostics are sampled at t = 0, every snapshot_every steps, and at the
-    final step.  Snapshots of the field are retained at the same cadence when
-    keep_snapshots is set, otherwise only first and last.  Steps act on the
-    half-spectrum state; nodal values are formed only at those sample times.
-    Raises SolverAbort (with the failure time and the last sampled row) as
-    soon as the state stops being finite.
-
-    Nonlinear and regularized runs call `step`.  A linearized run keeps, in
-    place, the state U = P C S after a step's transport P and before its
-    closing collision C.  A step with no sample is one merged pair
-    U <- P (C C U), whose decay e^{-2h} rides on P; a sample takes S = C U
-    and continues with U <- P C S: n + s rank-3 maps for n steps with s
-    samples.  Finiteness is read off each map's moments, in which every
-    theta entry has the density weight 2pi/ntheta > 0.
-    """
-    validate(config)
-    nsteps = _num_steps(config)
-    ws = _workspace_of(config)
+def _samples(config: SolverConfig, ws: _Workspace):
+    """Yield (t, S, values) at t = 0, every snapshot_every steps and at the
+    last step: the half-spectrum state, which the next segment may advance
+    in place, and its nodal values.  Nonlinear and regularized runs call
+    `step` once per step, a linearized run `_linear_steps` once per segment:
+    n + s rank-3 maps for n steps and s samples.  Raises SolverAbort(t) at
+    the first step t whose state is not finite."""
     values = init_field(config)
     S = np.fft.rfft2(values, axes=(0, 1))
-    rows = [_diagnostics_row(values, S, 0.0, config, ws)]
-    snaps = [(0.0, values)]
+    yield 0.0, S, values
+    nsteps, every = _num_steps(config), config.snapshot_every
+    ends = (0, *range(every, nsteps, every), nsteps)
     linear = config.mode == "linearized"
-    if linear:  # S's own float rows, which the loop advances in place
-        if not np.isfinite(S.view(float)).all():
-            raise SolverAbort(config.dt, rows[-1])
+    if linear:  # S's own float rows, which _linear_steps advances in place
         R = _float_rows(S)
-        M, T = np.empty((R.shape[0], ws.W2.shape[1])), np.empty_like(R)
-        pair = (ws.V2pair / ws.decay2, 1.0, ws.decay2 * ws.phase)
-    sample = True  # t = 0
-    for i in range(1, nsteps + 1):
-        t = i * config.dt
-        if not linear:
-            S = step(S, config)
-            if not np.isfinite(S.view(float)).all():  # both parts, as floats
-                raise SolverAbort(t, rows[-1])
-        else:  # U <- P C S after a sample, U <- P C C U otherwise
-            V, decay, P = (ws.V2, ws.decay, ws.phase) if sample else pair
-            _rank3(R, ws.W2, V, decay, M, T)
-            if not np.isfinite(M).all():  # the moments of step i - 1's state
-                raise SolverAbort((i - 1) * config.dt, rows[-1])
-            S *= P
-        sample = i % config.snapshot_every == 0 or i == nsteps
-        if linear and sample:  # the Strang state S = C U
-            _rank3(R, ws.W2, ws.V2, ws.decay, M, T)
-            if not np.isfinite(M).all():  # the moments of U
-                raise SolverAbort(t, rows[-1])
-        if sample:
-            values = np.fft.irfft2(S, s=ws.shape, axes=(0, 1))
-            rows.append(_diagnostics_row(values, S, t, config, ws))
-            if config.keep_snapshots:
+        pair = (ws.V2pair / ws.decay2, ws.decay2 * ws.phase,
+                np.empty((R.shape[0], 6)), np.empty_like(R))
+    for start, end in zip(ends, ends[1:]):
+        if linear:
+            bad = _linear_steps(S, ws, start, end, pair)
+        else:
+            for bad in range(start + 1, end + 1):
+                S = step(S, config)
+                if not np.isfinite(S.view(float)).all():  # both parts, as floats
+                    break
+            else:
+                bad = None
+        if bad is not None:
+            raise SolverAbort(bad * config.dt)
+        yield end * config.dt, S, np.fft.irfft2(S, s=ws.shape, axes=(0, 1))
+
+
+def run(config: SolverConfig) -> RunResult:
+    """Integrate the configured problem from t = 0 to t_end, with a
+    diagnostics row at each sample of `_samples`: t = 0, every
+    snapshot_every steps and the final step.  Snapshots of the field are
+    kept at the same cadence when keep_snapshots is set, otherwise only
+    first and last.  Raises SolverAbort (with the failure time and the last
+    sampled row) as soon as the state stops being finite."""
+    validate(config)
+    ws = _workspace_of(config)
+    background = config.mu * ws.Meq if config.mode == "linearized" else None
+    rows, snaps = [], []
+    try:
+        for t, S, values in _samples(config, ws):
+            row = diagnostics(values, ws.grid, config.mu, sums=_spectral_sums(S),
+                              background=background)
+            rows.append({**row, "t": float(t)})
+            del S   # a nonlinear step makes a new state; keep no stale one
+            if config.keep_snapshots or not snaps:
                 snaps.append((t, values))
+    except SolverAbort as exc:
+        exc.last_good_row = rows[-1]
+        raise
     if not config.keep_snapshots:
-        snaps.append((nsteps * config.dt, values))
+        snaps.append((t, values))
     return RunResult(config=config, series=DiagnosticsSeries.from_rows(rows),
                      snapshots=snaps)
 

@@ -369,6 +369,22 @@ def test_linear_decay_mini(tmp_path):
     assert summary["fit_r2"] > 0.9
 
 
+def test_linear_decay_manifest_is_strict_json_at_zero_predicted_rate(tmp_path):
+    # at mu = d the k = 0 rate mu/2 - 1 is 0, so the ratio is undefined
+    rc = cli.main(["linear-decay", "--set", "mu=2.0", "--set", "nx=8",
+                   "--set", "ntheta=16", "--set", "t_end=12", "--quiet",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the manifest")
+
+    text = (tmp_path / "manifest.json").read_text()
+    summary = json.loads(text, parse_constant=reject)["summary"]
+    assert summary["rate_predicted"] == 0.0
+    assert summary["ratio"] is None
+
+
 def test_entropy_mini(tmp_path):
     rc = cli.main(["entropy", "--set", "nx=16", "--set", "ntheta=32",
                    "--set", "t_end=0.5", "--set", "snapshot_every=5",
@@ -598,7 +614,7 @@ def test_dispersion_sweep_cells_count_the_built_grids():
         assert linstab.lattice_wavenumbers(gamma, k_max).tobytes() == ks.tobytes(), c
         assert linstab.default_z_grid(c["delta"], c["re_max"], c["im_max"],
                                       step).tobytes() == zs.tobytes(), c
-        assert linstab._lattice_size(gamma, k_max, big) == len(ks), c
+        assert linstab._lattice_extent(gamma, k_max, big)[0] == len(ks), c
         assert (linstab._axis_size(-c["delta"], c["re_max"], step, big)
                 * linstab._axis_size(-c["im_max"], c["im_max"], step, big)
                 == zs.size), c
@@ -660,7 +676,7 @@ def test_linear_decay_k_max_with_too_many_wavenumbers_exits_2(tmp_path, capsys,
         assert list(tmp_path.iterdir()) == []
     assert time.monotonic() - start < 1.0
     # 2,498 wavenumbers are within the cap
-    assert linstab._lattice_size(10.0, 399.0, 10 ** 9) == 2_498
+    assert linstab._lattice_extent(10.0, 399.0, 10 ** 9)[0] == 2_498
     cli.resolve_config("linear-decay", None, ["k_max=399"])
 
 
@@ -674,7 +690,7 @@ def test_linear_decay_k_max_over_the_contour_length_exits_2(tmp_path, capsys,
     monkeypatch.setattr(linstab, "lattice_wavenumbers", no_work)
     # gamma 100, k_max 3,990: the 2,498 wavenumbers of gamma 10, k_max 399,
     # each ten times as long, so ten times the summed |k|
-    assert linstab._lattice_size(100.0, 3990.0, 10 ** 9) == 2_498
+    assert linstab._lattice_extent(100.0, 3990.0, 10 ** 9)[0] == 2_498
     start = time.monotonic()
     rc = cli.main(["linear-decay", "--set", "gamma=100", "--set", "k_max=3990",
                    "--quiet", "--output-dir", str(tmp_path)])
@@ -690,9 +706,10 @@ def test_lattice_length_sums_the_built_lattice():
         for k_max in gamma * np.concatenate([[1.0, 5.0, 399 / 10, 40.0],
                                              rng.uniform(1.0, 30.0, 5)]):
             k = linstab.lattice_wavenumbers(gamma, k_max)
-            assert linstab._lattice_length(gamma, k_max) == pytest.approx(
-                np.hypot(k[:, 0], k[:, 1]).sum(), rel=1e-12, abs=0.0)
-    assert linstab._lattice_length(10.0, 5.0) == 0.0
+            assert linstab._lattice_extent(gamma, k_max, 10 ** 9)[1] == \
+                pytest.approx(np.hypot(k[:, 0], k[:, 1]).sum(), rel=1e-12, abs=0.0)
+    assert linstab._lattice_extent(10.0, 5.0, 10 ** 9)[1] == 0.0
     # at gamma 10 the length cap falls where the wavenumber cap does
-    assert (linstab._lattice_length(10.0, 399.0) <= cli._MAX_ABSCISSA_LENGTH
-            < linstab._lattice_length(10.0, 400.0))
+    assert (linstab._lattice_extent(10.0, 399.0, 10 ** 9)[1]
+            <= cli._MAX_ABSCISSA_LENGTH
+            < linstab._lattice_extent(10.0, 400.0, 10 ** 9)[1])

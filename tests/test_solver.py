@@ -394,7 +394,12 @@ def _step_loop(cfg):
         S = step(S, cfg)
         if not np.isfinite(S.view(float)).all():
             ws = solver._workspace_of(cfg)
-            raise SolverAbort(i * cfg.dt, solver._diagnostics_row(*last, cfg, ws))
+            values, S_last, t = last
+            background = cfg.mu * ws.Meq if cfg.mode == "linearized" else None
+            row = solver.diagnostics(values, ws.grid, cfg.mu,
+                                     sums=solver._spectral_sums(S_last),
+                                     background=background)
+            raise SolverAbort(i * cfg.dt, {**row, "t": t})
         if i % cfg.snapshot_every == 0 or i == n:
             snaps.append((i * cfg.dt, np.fft.irfft2(S, s=(cfg.nx, cfg.nx),
                                                     axes=(0, 1))))
@@ -441,9 +446,9 @@ def test_pair_map_is_two_linearized_collisions():
     cfg = _linear_config(dt=0.5, t_end=0.5)
     ws = solver._workspace_of(cfg)
     S = np.fft.rfft2(init_field(cfg), axes=(0, 1))
-    two = solver._float_rows(
-        solver._collide_linear(solver._collide_linear(S, ws), ws))
     R = solver._float_rows(S)
+    two = solver._rank3(solver._rank3(R.copy(), ws.W2, ws.V2, ws.decay),
+                        ws.W2, ws.V2, ws.decay)
     pair = solver._rank3(R.copy(), ws.W2, ws.V2pair, ws.decay2)
     scale = np.max(np.abs(two))
     assert np.max(np.abs(two - ws.decay2 * R)) > 0.1 * scale
@@ -475,6 +480,54 @@ def test_linearized_abort_time_matches_step_loop(monkeypatch):
     with pytest.raises(SolverAbort) as want:
         _step_loop(cfg)
     assert got.value.t == want.value.t == cfg.dt
+
+
+@pytest.mark.parametrize("mode, eps_reg", [("nonlinear", None),
+                                           ("regularized", 0.5)])
+def test_nonfinite_initial_field_aborts_at_dt(monkeypatch, mode, eps_reg):
+    cfg = SolverConfig(mu=2.5, mode=mode, eps_reg=eps_reg, nx=8, ntheta=16,
+                       dt=0.05, t_end=0.4, snapshot_every=3,
+                       init=InitSpec(recipe="random-smooth", amplitude=0.5))
+    F = init_field(cfg)
+    F[1, 2, 3] = np.nan
+    monkeypatch.setattr(solver, "init_field", lambda config: F.copy())
+    with pytest.raises(SolverAbort) as got:
+        run(cfg)
+    with pytest.raises(SolverAbort) as want:
+        _step_loop(cfg)
+    assert got.value.t == want.value.t == cfg.dt
+    row, ref = got.value.last_good_row, want.value.last_good_row
+    assert row["t"] == ref["t"] == 0.0
+    np.testing.assert_equal(row, ref)   # NaN entries compare equal here
+
+
+def _count_traced_calls(monkeypatch):
+    """Wrap the solver functions the benchmark traces by module attribute
+    (step, init_field, diagnostics) with counters; returns the counts."""
+    counts = {}
+    for name in ("step", "init_field", "diagnostics"):
+        counts[name] = 0
+
+        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+def test_run_calls_the_traced_functions(monkeypatch, mode):
+    # 8 steps sampled every 3: samples after t = 0 at steps 3, 6 and 8
+    cfg = SolverConfig(mu=2.5, mode=mode, nx=8, ntheta=16, dt=0.05,
+                       t_end=0.4, snapshot_every=3,
+                       init=InitSpec(recipe="random-smooth", amplitude=0.5))
+    counts = _count_traced_calls(monkeypatch)
+    nsamples = len(run(cfg).series) - 1
+    assert nsamples == 3
+    nsteps = 8 if mode == "nonlinear" else 0
+    assert counts == {"step": nsteps, "init_field": 1,
+                      "diagnostics": nsamples + 1}
 
 
 @pytest.mark.parametrize("every", [1, 2])
