@@ -17,18 +17,19 @@ parameter is validated before any computation starts.  The solver
 experiments build their SolverConfig once and validate it with
 solver.validate, the one place the rules on its fields are stated; this
 module checks only the keys that never reach the solver (fit windows, sweep
-controls; a dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells and a
-linear-decay k_max whose lattice holds more than _MAX_ABSCISSA_WAVENUMBERS
-or sums |k| above _MAX_ABSCISSA_LENGTH are rejected from their arithmetic
-size).  solver.validate also rejects an eps_reg outside regularized
-mode, where it would be ignored.  Each run writes its
-artifacts plus a manifest.json (resolved config, version, wall time, output
-list, summary scalars) into --output-dir; the manifest is written last and
-atomically.  A run that fails (exit 1) still writes a manifest, with no
-outputs listed, even if it wrote some, and the error and its type as
-summary; a solver abort adds its time (last_valid_time) and the last good
-diagnostics row (last_good_row).  A run first deletes the directory's
-previous manifest, so no earlier run's manifest is left beside its files.
+controls; a homogeneous run of more than _MAX_FLOW_STEPS steps, a
+dispersion sweep above _MAX_SWEEP_CELLS (k, z) cells and a linear-decay
+k_max whose lattice holds more than _MAX_ABSCISSA_WAVENUMBERS or sums |k|
+above _MAX_ABSCISSA_LENGTH are rejected from their arithmetic size).
+solver.validate also rejects an eps_reg outside regularized mode, where it
+would be ignored.  Each run writes its artifacts plus a manifest.json
+(resolved config, version, wall time, output list, summary scalars) into
+--output-dir; the manifest is written last and atomically.  A run that fails
+(exit 1) still writes a manifest, with no outputs listed, even if it wrote
+some, and the error and its type as summary; a solver abort adds its time
+(last_valid_time) and the last good diagnostics row (last_good_row).  A run
+first deletes the directory's previous manifest, so no earlier run's
+manifest is left beside its files.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -242,6 +243,11 @@ def _check_types(defaults: dict, c: dict, prefix: str = "") -> None:
 # keep a run below ~1.2 GB.
 _MAX_SWEEP_CELLS = 4_000_000
 
+# homogeneous integrates its flux ODE by RK4 in Python and keeps every step:
+# 2.5 million steps (t_end 40, dt 1.6e-5) took 55 s with peak RSS 260 MB on
+# a 2-vCPU Xeon, about a minute like the linear-decay caps.
+_MAX_FLOW_STEPS = 2_500_000
+
 # The predicted rate of linear-decay counts the zeros for each lattice k on a
 # contour whose length grows like |k|, so it costs a fixed time per k plus a
 # time per unit of |k|.  At mu 1.5 on a 2-vCPU Xeon one k took ~4 ms at |k|
@@ -284,6 +290,8 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["L0"] >= 0, "L0", "must be >= 0")
         _need(c["t_end"] > 0, "t_end", "must be > 0")
         _need(c["dt"] > 0, "dt", "must be > 0")
+        _need(c["t_end"] / c["dt"] <= _MAX_FLOW_STEPS, "dt",
+              f"must be >= t_end / {_MAX_FLOW_STEPS}")
     elif experiment == "dispersion":
         _need(c["mu"] > 0, "mu", "must be > 0")
         _need(c["gamma"] > 0, "gamma", "must be > 0")
@@ -305,6 +313,7 @@ def validate_config(experiment: str, c: dict) -> None:
         _need(c["eps"] is None or 0 < c["eps"] < 1, "eps",
               "must be null or in (0, 1)")
         _need(c["num_samples"] >= 1, "num_samples", "must be a positive integer")
+        _need(c["seed"] >= 0, "seed", "must be an integer >= 0")
         _need(c["re_max"] >= 0, "re_max", "must be >= 0")
         _need(c["im_max"] > 0, "im_max", "must be > 0")
         _need(c["kmag_max"] >= c["gamma"], "kmag_max", "must be >= gamma")
@@ -313,7 +322,8 @@ def validate_config(experiment: str, c: dict) -> None:
             _need(c["fit_t_min"] >= 0, "fit_t_min", "must be >= 0")
             _need(c["fit_t_max"] is None or c["fit_t_max"] > c["fit_t_min"],
                   "fit_t_max", "must be null or > fit_t_min")
-        if experiment == "linear-decay":
+        if experiment == "linear-decay":  # its fit is its result
+            _need(c["fit_t_min"] < c["t_end"], "fit_t_min", "must be < t_end")
             _need(c["amplitude"] > 0, "amplitude", "must be > 0")
             _need(c["k_max"] is None or c["k_max"] > 0, "k_max",
                   "must be null or > 0")

@@ -535,8 +535,10 @@ def dist_to_manifold(values: np.ndarray, grid: SphereGrid, mu: float, *,
     osc dx^2 wq, osc the sum over m != 0 of mult |S_m|^2 / nx^2 (mult 1 on
     the m2 = 0 and Nyquist columns, 2 elsewhere).  Both are sums of squares,
     so a distance far below ||F|| keeps its digits.  The direction
-    minimizing the theta-only term is found by a coarse circular scan, seeded
-    by the mean flux direction, refined by golden-section search to 1e-12.
+    minimizing the theta-only term comes from twelve nested scans, each one
+    batched von_mises call at 33 directions: the first spans the circle from
+    -pi, each next one the two cells around the previous best, 16 times
+    narrower, so the last spacing is 2pi / (32 16^11) ~ 1e-14.
     """
     Fbar, osc = sums or _spectral_sums(np.fft.rfft2(values, axes=(0, 1)))
     wq = 2.0 * math.pi / grid.n
@@ -548,30 +550,17 @@ def dist_to_manifold(values: np.ndarray, grid: SphereGrid, mu: float, *,
     L = solve_L(mu, 2)
 
     def gap(phi):
-        """Squared theta-distance to mu M_phi, for one phi or an array."""
+        """Squared theta-distances to mu M_phi at the directions phi."""
         m = von_mises(L * np.array([np.cos(phi), np.sin(phi)]).T, grid)
         return np.sum((Fbar - mu * m) ** 2, axis=-1) * wq
 
-    jbar = moments(Fbar, grid)[1]
-    seed = math.atan2(jbar[1], jbar[0]) if np.linalg.norm(jbar) > 0 else 0.0
-    scan = seed + np.linspace(-math.pi, math.pi, 33)[:-1]
-    best = int(np.argmin(gap(scan)))
-    lo = scan[best] - 2.0 * math.pi / 32
-    hi = scan[best] + 2.0 * math.pi / 32
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = gap(c), gap(d)
-    while hi - lo > 1e-12:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = gap(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = gap(d)
-    return math.sqrt(spread2 + area2 * min(fc, fd))
+    lo, width, unit = -math.pi, 2.0 * math.pi, np.linspace(0.0, 1.0, 33)
+    for _ in range(12):
+        phi = lo + width * unit
+        g = gap(phi)
+        best = int(np.argmin(g))
+        lo, width = phi[best] - width / 32, width / 16
+    return math.sqrt(spread2 + area2 * g[best])
 
 
 def diagnostics(values: np.ndarray, grid: SphereGrid, mu: float, *,

@@ -87,6 +87,8 @@ def test_value_validation():
         cli.resolve_config("bifurcation", None, ["num:11"])
     with pytest.raises(cli.ConfigError, match="d"):
         cli.resolve_config("dispersion", None, ["d=3"])
+    with pytest.raises(cli.ConfigError, match="dt"):
+        cli.resolve_config("homogeneous", None, ["dt=1e-9"])
 
 
 def test_config_file_errors(tmp_path):
@@ -161,6 +163,8 @@ def test_infinite_dt_exits_2(tmp_path, capsys):
       "--set", "init.mode_k=[0,0]"], "init.mode_k"),
     (["simulate", "--set", "seed=-1"], "seed"),
     (["simulate", "--set", "eps_reg=0.1"], "eps_reg"),  # nonlinear ignores it
+    (["bounds", "--set", "seed=-1"], "seed"),
+    (["linear-decay", "--set", "fit_t_min=30"], "fit_t_min"),
 ])
 def test_solver_rule_exits_2_before_computing(tmp_path, capsys, argv, key):
     start = time.monotonic()
